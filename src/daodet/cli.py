@@ -40,7 +40,7 @@ from .evaluation import (
     friedman_nemenyi,
     ols_regression,
     read_records_csv,
-    time_detector,
+    time_detector,  # noqa: F401 (unused here; perfbench/spans.py traces this name)
     with_dims,
     with_timing,
     write_records_csv,
@@ -187,13 +187,12 @@ def _run_one(task: tuple[str, str, dict]) -> tuple[str, list[EvalRecord] | None]
     dim_c1, dim_c2 = meta.get("dim_c1"), meta.get("dim_c2")
     records = [with_dims(rec, dim_c1, dim_c2) for rec in records]
     if opts["timing"]:
-        timed = []
-        for rec in records:
-            mean_s, std_s = time_detector(
-                ds, rec.detector, ks, opts["estimator"], opts["lid_grid"]
-            )
-            timed.append(with_timing(rec, mean_s, std_s))
-        records = timed
+        # One call per dataset, so the detectors share a distance matrix and
+        # their runs interleave.
+        times = evaluation.time_detectors(
+            ds, [rec.detector for rec in records], ks, opts["estimator"], opts["lid_grid"]
+        )
+        records = [with_timing(rec, *times[rec.detector]) for rec in records]
     return path_s, records
 
 

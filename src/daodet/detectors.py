@@ -71,6 +71,38 @@ def score_lof(graph: NeighborGraph, k: int) -> ScoreVector:
     return ScoreVector("lof", k, scores)
 
 
+def dao_log_ratios(graph: NeighborGraph, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The LID-independent part of DAO at neighborhood size k.
+
+    Returns the contiguous neighbor block nb (n, k), the matrix
+    ln kdist(q) - ln kdist(o) over those neighbors, and its largest
+    magnitude. A sweep builds these once per k and shares them across
+    every LID profile.
+    """
+    _check_k(graph, k)
+    lkd = np.log(kdist_column(graph, k))
+    nb = np.ascontiguousarray(graph.indices[:, :k])
+    log_ratio = lkd[:, None] - np.take(lkd, nb)
+    return nb, log_ratio, float(np.abs(log_ratio).max())
+
+
+def dao_kernel(
+    ids: np.ndarray, nb: np.ndarray, log_ratio: np.ndarray, ratio_max: float
+) -> np.ndarray:
+    """DAO scores from per-point LIDs and the output of dao_log_ratios.
+
+    Computes mean over neighbors of exp(id(o) * ln ratio), with the product
+    clipped to +-_EXP_CLIP. When max|id| * max|ln ratio| is within the clip
+    the clip is the identity, so it is skipped; a NaN bound clips.
+    """
+    t = np.take(ids, nb)
+    t *= log_ratio
+    if not float(np.abs(ids).max()) * ratio_max <= _EXP_CLIP:
+        np.clip(t, -_EXP_CLIP, _EXP_CLIP, out=t)
+    np.exp(t, out=t)
+    return t.mean(axis=1)
+
+
 def score_dao(graph: NeighborGraph, k: int, lids: LidProfile) -> ScoreVector:
     """Dimensionality-aware outlierness.
 
@@ -81,11 +113,8 @@ def score_dao(graph: NeighborGraph, k: int, lids: LidProfile) -> ScoreVector:
     _check_k(graph, k)
     if lids.n != graph.n:
         raise ValueError(f"lid profile length {lids.n} does not match n={graph.n}")
-    kd = kdist_column(graph, k)
-    nb = graph.indices[:, :k]
-    log_ratio = np.log(kd)[:, None] - np.log(kd)[nb]
-    terms = np.exp(np.clip(lids.ids[nb] * log_ratio, -_EXP_CLIP, _EXP_CLIP))
-    return ScoreVector("dao", k, terms.mean(axis=1), lid_estimator=lids.estimator)
+    scores = dao_kernel(lids.ids, *dao_log_ratios(graph, k))
+    return ScoreVector("dao", k, scores, lid_estimator=lids.estimator)
 
 
 SCORERS = {"knn": score_knn, "lof": score_lof, "slof": score_slof}

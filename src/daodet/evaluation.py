@@ -19,9 +19,9 @@ import numpy as np
 from scipy import special, stats
 
 from .dataset import Dataset
-from .detectors import SCORERS, ScoreVector, score_dao
+from .detectors import SCORERS, ScoreVector, dao_kernel, dao_log_ratios, score_dao
 from .lid import LidProfile, estimate_profile, estimator_k_grid
-from .neighbors import NeighborGraph, build_neighbor_graph, select_knn_all
+from .neighbors import NeighborGraph, build_neighbor_graph, euclidean, select_knn_all
 
 DEFAULT_K_RANGE = range(5, 101)
 
@@ -61,7 +61,8 @@ def roc_auc(scores: ScoreVector | np.ndarray, labels: np.ndarray) -> float:
     """Probability that a random outlier outscores a random inlier.
 
     Mann-Whitney U over all (outlier, inlier) pairs, normalized by the pair
-    count; tied scores contribute half credit. Computed with midranks.
+    count; tied scores contribute half credit. Computed with midranks; a NaN
+    score gives NaN.
     """
     s = scores.scores if isinstance(scores, ScoreVector) else np.asarray(scores, dtype=float)
     y = np.asarray(labels)
@@ -71,8 +72,17 @@ def roc_auc(scores: ScoreVector | np.ndarray, labels: np.ndarray) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("labels must contain both classes for ROC AUC")
-    ranks = stats.rankdata(s, method="average")
-    u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    # Midranks from one stable sort: a tie group at sorted positions
+    # [start, end) holds rank (start + end + 1) / 2. Every rank and partial
+    # sum is a half-integer below 2**53, so the sum is exact in any order.
+    order = np.argsort(s, kind="stable")
+    ranked = s[order]
+    if np.isnan(ranked[-1]):  # NaN sorts last
+        return float("nan")
+    edges = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1], True])
+    midranks = (edges[:-1] + edges[1:] + 1) / 2.0
+    pos_per_group = np.add.reduceat((y[order] == 1).astype(np.int64), edges[:-1])
+    u = (midranks * pos_per_group).sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
@@ -232,12 +242,16 @@ def _dao_sweep(graph, labels, det_ks, profiles):
     """Max-AUC DAO configuration over detector k x LID grid k.
 
     Iteration order is ascending in both, so a strict comparison keeps the
-    smallest detector k (then smallest LID k) on AUC ties.
+    smallest detector k (then smallest LID k) on AUC ties. The neighbor
+    block and log-ratio matrix are built once per detector k and shared by
+    every LID profile; each profile runs on its own (n, k) temporaries.
     """
     best = None
+    lid_ks = sorted(profiles)
     for k in det_ks:
-        for lid_k in sorted(profiles):
-            auc = roc_auc(score_dao(graph, k, profiles[lid_k]), labels)
+        ratios = dao_log_ratios(graph, k)
+        for lid_k in lid_ks:
+            auc = roc_auc(dao_kernel(profiles[lid_k].ids, *ratios), labels)
             if best is None or auc > best[0]:
                 best = (auc, k, lid_k)
     return best
@@ -395,9 +409,8 @@ def time_detectors(
     pts = dataset.points
     dists = np.empty((n, n))
     for start in range(0, n, 128):  # chunked to bound peak memory
-        rows = np.arange(start, min(start + 128, n))
-        diff = pts[rows][:, None, :] - pts[None, :, :]
-        dists[rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        rows = slice(start, min(start + 128, n))
+        dists[rows] = euclidean(pts[rows][:, None, :], pts[None, :, :])
 
     def run(k_sets: int, score) -> float:
         t0 = time.perf_counter()

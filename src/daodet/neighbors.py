@@ -71,22 +71,29 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     brute force, the KD-tree, and spot checks agree bitwise.
 
     Points closer than about 1e-154 have squared differences that underflow,
-    so a sum below the smallest normal float with a non-zero difference is
-    recomputed after scaling by the largest absolute difference (as
-    ``hypot`` does). Only those entries change; identical points stay at 0.
+    and points farther apart than about 1e154 have squared differences that
+    overflow. So a sum below the smallest normal float with a non-zero
+    difference, or an infinite sum with finite differences, is recomputed
+    after scaling by the largest absolute difference (as ``hypot`` does).
+    Only those entries change; identical points stay at 0, and a distance
+    beyond the float range stays infinite.
     """
     diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     sq = np.einsum("...i,...i->...", diff, diff)
     dist = np.sqrt(sq)
-    small = np.flatnonzero(sq < _TINY)
-    if small.size == 0:
+    rescue = sq < _TINY
+    if np.max(sq, initial=0.0) == np.inf:  # one reduction keeps the common case cheap
+        rescue |= sq == np.inf
+    rescue = np.flatnonzero(rescue)
+    if rescue.size == 0:
         return dist
     dist = np.asarray(dist)  # writable even for a single pair
-    sub = diff.reshape(-1, diff.shape[-1])[small]
+    sub = diff.reshape(-1, diff.shape[-1])[rescue]
     scale = np.abs(sub).max(axis=-1)
-    nz = scale > 0.0
-    scaled = sub[nz] / scale[nz, None]
-    dist.flat[small[nz]] = scale[nz] * np.sqrt(np.einsum("...i,...i->...", scaled, scaled))
+    ok = (scale > 0.0) & (scale < np.inf)
+    scaled = sub[ok] / scale[ok, None]
+    with np.errstate(over="ignore"):  # beyond the float range: inf, rejected by the graph
+        dist.flat[rescue[ok]] = scale[ok] * np.sqrt(np.einsum("...i,...i->...", scaled, scaled))
     return dist[()]  # a scalar again for one pair
 
 
@@ -252,6 +259,11 @@ def build_neighbor_graph(
         indices, distances = _build_kdtree(points, kmax)
     else:
         raise ValueError(f"unknown method {method!r}")
+    if not np.isfinite(distances).all():
+        raise ValueError(
+            "non-finite distances in graph: a pairwise distance exceeds the float range"
+            " or the input is not finite"
+        )
     if distances[:, 0].min() <= 0.0:
         raise ValueError("zero distance in graph: input contains duplicate points")
     return NeighborGraph(

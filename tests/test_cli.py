@@ -166,6 +166,33 @@ def test_run_unlabeled_skipped_with_warning(tmp_path, capsys):
     assert "skipping unlabeled" in err and "all datasets were skipped" in err
 
 
+def test_run_timing_calls_time_detectors_once_per_dataset(synth_dir, tmp_path, monkeypatch):
+    from daodet import evaluation
+
+    calls = []
+
+    def spy(dataset, detectors, k_range, lid_estimator, lid_k_grid):
+        calls.append((dataset.name, list(detectors)))
+        return {det: (float(i + 1), 0.5) for i, det in enumerate(detectors)}
+
+    monkeypatch.setattr(evaluation, "time_detectors", spy)
+    out = tmp_path / "timed.csv"
+    assert run_cli(
+        "run", "--data", str(synth_dir), "--k", "5..15:5", "--lid-grid", "5,10",
+        "--detectors", "knn,lof,slof,dao", "--timing", "--out", str(out),
+    ) == 0
+    names = sorted(p.stem for p in synth_dir.glob("*.csv"))
+    assert sorted(name for name, _ in calls) == names
+    assert all(dets == ["knn", "lof", "slof", "dao"] for _, dets in calls)
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    means = {"knn": 1.0, "lof": 2.0, "slof": 3.0, "dao": 4.0}
+    assert len(rows) == 4 * len(names)
+    for row in rows:
+        assert float(row["runtime_mean_s"]) == means[row["detector"]]
+        assert float(row["runtime_std_s"]) == 0.5
+
+
 def test_run_config_file_with_flag_override(tmp_path, synth_dir, records_csv):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

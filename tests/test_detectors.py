@@ -119,6 +119,36 @@ def test_dao_with_unit_ids_equals_slof(seed, k, dim):
     np.testing.assert_allclose(dao.scores, slof.scores, rtol=0, atol=1e-12)
 
 
+def seed_dao_exponents(g, k, ids):
+    """id(o) * ln(kdist(q) / kdist(o)) as DAO was first written."""
+    kd = g.distances[:, k - 1]
+    nb = g.indices[:, :k]
+    return ids[nb] * (np.log(kd)[:, None] - np.log(kd)[nb])
+
+
+@pytest.mark.parametrize("clip_bites", [False, True])
+def test_dao_kernel_bitwise_equals_seed_formula(rng, clip_bites):
+    n, kmax = 60, 12
+    indices = np.array([rng.choice(np.delete(np.arange(n), i), kmax, replace=False)
+                        for i in range(n)])
+    if clip_bites:  # kdists spread over 26 decades, ids at the 4*d cap
+        distances = np.sort(np.exp(rng.uniform(-30.0, 30.0, (n, kmax))), axis=1)
+        ids = rng.uniform(1.0, 128.0, n)
+        ids[:10] = 128.0
+    else:
+        distances = np.sort(rng.uniform(0.5, 2.0, (n, kmax)), axis=1)
+        ids = rng.uniform(0.5, 16.0, n)
+    g = fake_graph(indices, distances)
+    for k in (1, 5, kmax):
+        exponents = seed_dao_exponents(g, k, ids)
+        if k > 1:
+            assert (np.abs(exponents).max() > 700) == clip_bites
+        expected = np.exp(np.clip(exponents, -700, 700)).mean(axis=1)
+        got = score_dao(g, k, fake_profile(ids)).scores
+        assert np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_dao_lid_length_checked(rng):
     pts = rng.standard_normal((10, 2))
     g = build_neighbor_graph(pts, kmax=3)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -76,6 +76,37 @@ def test_roc_auc_antisymmetry_and_monotone_invariance(seed):
     a = roc_auc(scores, labels)
     assert a + roc_auc(-scores, labels) == pytest.approx(1.0, abs=1e-12)
     assert roc_auc(np.exp(scores) * 3 + 1, labels) == pytest.approx(a, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(-4, 4).map(lambda v: v / 2.0),  # heavy ties
+                st.floats(-100, 100).map(lambda v: round(v, 1)),
+                st.sampled_from([np.inf, -np.inf]),
+            ),
+            st.integers(0, 1),
+        ),
+        min_size=2,
+        max_size=80,
+    ),
+    st.one_of(st.none(), st.integers(0, 79)),
+)
+def test_roc_auc_matches_rankdata_formula_bitwise(pairs, nan_at):
+    s = np.array([v for v, _ in pairs])
+    y = np.array([c for _, c in pairs])
+    assume(0 < y.sum() < len(y))
+    if nan_at is not None:
+        s[nan_at % len(s)] = np.nan
+    n_pos, n_neg = int(y.sum()), int(len(y) - y.sum())
+    expected = (stats.rankdata(s)[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    got = roc_auc(s, y)
+    if nan_at is not None:
+        assert np.isnan(got) and np.isnan(expected)
+    else:
+        assert got == expected
 
 
 def test_dispersion_examples():
@@ -288,6 +319,30 @@ def test_best_k_sweep_argmax_and_tie(monkeypatch, small_ds):
     monkeypatch.setattr(ev, "roc_auc", fake_auc)
     rec = ev.best_k_sweep(small_ds, "knn", k_range=[5, 10, 20], lid_k_grid=[5])
     assert rec.best_k == 10 and rec.roc_auc == 0.9
+
+
+def test_dao_sweep_is_argmax_of_every_pair(monkeypatch, small_ds):
+    from daodet import evaluation as ev
+    from daodet.detectors import score_dao
+    from daodet.lid import estimate_profile
+
+    g = build_neighbor_graph(small_ds, 20)
+    det_ks = [5, 10, 15]
+    profiles = {lk: estimate_profile("mle", g, lk) for lk in (20, 5, 10)}
+    pairs = [(k, lk) for k in det_ks for lk in profiles]
+    aucs = {(k, lk): roc_auc(score_dao(g, k, profiles[lk]), small_ds.labels) for k, lk in pairs}
+    auc, k, lk = max((aucs[p], -p[0], -p[1]) for p in pairs)
+    assert ev._dao_sweep(g, small_ds.labels, det_ks, profiles) == (auc, -k, -lk)
+
+    # scripted ties: the smallest detector k wins, then the smallest LID k
+    script = {(5, 20): 0.8, (10, 20): 0.9, (10, 10): 0.9, (15, 5): 0.9}
+    by_scores = {
+        score_dao(g, k, profiles[lk]).scores.tobytes(): script.get((k, lk), 0.5)
+        for k, lk in pairs
+    }
+    assert len(by_scores) == len(pairs)
+    monkeypatch.setattr(ev, "roc_auc", lambda scores, labels: by_scores[scores.tobytes()])
+    assert ev._dao_sweep(g, small_ds.labels, det_ks, profiles) == (0.9, 10, 10)
 
 
 def test_best_k_sweep_unlabeled_and_k_range(small_ds):

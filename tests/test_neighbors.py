@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from daodet.dataset import Dataset
+from daodet.detectors import score_dao
+from daodet.lid import estimate_profile
 from daodet.neighbors import (
     build_neighbor_graph,
     cached_neighbor_graph,
@@ -107,6 +109,31 @@ def test_near_coincident_distance_does_not_underflow():
     assert euclidean(np.array([5e-324, 0.0]), np.zeros(2)) == 5e-324
     pair = euclidean(np.array([[3e-200, 4e-200], [0.0, 0.0]]), np.zeros(2))
     np.testing.assert_allclose(pair, [5e-200, 0.0], rtol=1e-15, atol=0)
+
+
+def test_far_apart_distance_does_not_overflow():
+    # Squared differences of these pairs overflow to inf.
+    pts = np.array([[0.0], [1e200], [3e200], [7e200], [1.5e201]])
+    g = build_neighbor_graph(pts, kmax=3)
+    assert g.distances[0].tolist() == [1e200, 3e200, 7e200]
+    assert g.distances[1, :2].tolist() == [1e200, 2e200]
+    assert g.distances[2].tolist() == [2e200, 3e200, 4e200]
+    for i in range(5):
+        np.testing.assert_array_equal(g.distances[i], np.abs(pts[i, 0] - pts[g.indices[i], 0]))
+    assert euclidean(np.array([3e200, 4e200]), np.zeros(2)) == pytest.approx(5e200, rel=1e-15)
+    scores = score_dao(g, 2, estimate_profile("mle", g, 3)).scores
+    assert np.all(np.isfinite(scores)) and np.all(scores > 0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_distance_beyond_float_range_rejected():
+    assert euclidean(np.array([1.5e308, 1.5e308]), np.zeros(2)) == np.inf
+    for pts in (
+        np.array([[0.0, 0.0], [1.5e308, 1.5e308], [1.0, 1.0]]),  # finite differences
+        np.array([[-1.5e308], [1.5e308], [0.0]]),  # the difference itself overflows
+    ):
+        with pytest.raises(ValueError, match="non-finite distances"):
+            build_neighbor_graph(pts, kmax=2)
 
 
 def test_duplicate_points_rejected():

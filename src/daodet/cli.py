@@ -450,7 +450,7 @@ def cmd_knn_cache(args) -> int:
         raise UsageError(f"--kmax must lie in [1, {ds.n - 1}]")
     cache_dir = Path(args.cache)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    graph = build_neighbor_graph(ds, args.kmax, method=args.method)
+    graph = build_neighbor_graph(ds, args.kmax)
     key = graph_cache_key(ds, args.kmax, graph.metric)
     save_graph(graph, cache_dir / f"{key}.knn")
     print(f"cached graph {key} (n={graph.n}, kmax={graph.kmax}) in {cache_dir}")
@@ -503,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("knn-cache", help="prebuild a neighbor graph cache entry")
     p.add_argument("--data", required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--method", choices=["brute", "kdtree"], default="brute")
     p.add_argument("--label-column", dest="label_column", default="label")
     p.add_argument("--cache", required=True)
 

@@ -21,7 +21,7 @@ from scipy import special, stats
 from .dataset import Dataset
 from .detectors import SCORERS, ScoreVector, dao_kernel, dao_log_ratios, score_dao
 from .lid import LidProfile, estimate_profile, estimator_k_grid
-from .neighbors import NeighborGraph, build_neighbor_graph, euclidean, select_knn_all
+from .neighbors import NeighborGraph, _distance_rows, build_neighbor_graph, select_knn_all
 
 DEFAULT_K_RANGE = range(5, 101)
 
@@ -264,7 +264,6 @@ class SweepConfig:
     lid_estimator: str = "mle"
     lid_k_grid: Sequence[int] | None = None   # None: standard grid truncated
     morans_k_range: Sequence[int] | None = None  # None: detector k range
-    graph_method: str = "brute"
 
 
 def evaluate_dataset(
@@ -291,7 +290,7 @@ def evaluate_dataset(
     )
     kmax = max(max(det_ks), max(lid_grid))
     if graph is None:
-        graph = build_neighbor_graph(dataset, kmax, method=config.graph_method)
+        graph = build_neighbor_graph(dataset, kmax)
     elif graph.kmax < kmax:
         raise ValueError(f"provided graph kmax={graph.kmax} < needed {kmax}")
 
@@ -406,11 +405,7 @@ def time_detectors(
         if lid_k_grid is None
         else _truncate_k_range(lid_k_grid, n)
     )
-    pts = dataset.points
-    dists = np.empty((n, n))
-    for start in range(0, n, 128):  # chunked to bound peak memory
-        rows = slice(start, min(start + 128, n))
-        dists[rows] = euclidean(pts[rows][:, None, :], pts[None, :, :])
+    dists = _distance_rows(dataset.points, np.arange(n))
 
     def run(k_sets: int, score) -> float:
         t0 = time.perf_counter()

@@ -80,7 +80,8 @@ def estimate_mle(
         id_cap = default_id_cap(graph.n_features)
     d = graph.distances[:, :k]
     with np.errstate(divide="ignore"):
-        mean_log = np.log(d / d[:, k - 1 : k]).mean(axis=1)
+        ratio = d / d[:, k - 1 : k]
+        mean_log = np.log(ratio, out=ratio).mean(axis=1)  # in place: one (n, k) temporary
         raw = np.where(mean_log < 0.0, -1.0 / mean_log, np.inf)
     return _finish("mle", k, raw, id_floor, id_cap)
 

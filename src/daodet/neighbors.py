@@ -2,14 +2,16 @@
 
 A NeighborGraph holds, for every point, its kmax nearest neighbors sorted
 by ascending distance, ties broken by ascending point index. The query
-point is never its own neighbor. Brute force and the KD-tree produce
-bit-identical graphs; brute force doubles as the correctness oracle.
+point is never its own neighbor. Graphs are built by brute force with the
+canonical ``euclidean`` distance, so they are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +20,8 @@ import numpy as np
 from .dataset import EUCLIDEAN, SUPPORTED_METRICS, Dataset
 
 _CHUNK_ROWS = 256
-_LEAF_SIZE = 16
+# Cap on the (rows, n, d) difference temporary of one euclidean call.
+_BLOCK_BYTES = 4 << 20
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -68,7 +71,7 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The canonical distance: sqrt of the einsum-reduced squared diff.
 
     Every distance stored in a graph comes from this exact evaluation, so
-    brute force, the KD-tree, and spot checks agree bitwise.
+    graphs, the timing harness and spot checks agree bitwise.
 
     Points closer than about 1e-154 have squared differences that underflow,
     and points farther apart than about 1e154 have squared differences that
@@ -98,8 +101,20 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _distance_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Distances from points[rows] to all points (euclidean, chunked)."""
-    return euclidean(points[rows][:, None, :], points[None, :, :])
+    """Distances from points[rows] to all points, bitwise equal to one
+    ``euclidean(points[rows][:, None, :], points[None, :, :])`` call.
+
+    Each euclidean call covers a block of rows small enough that its
+    (block, n, d) difference temporary stays under _BLOCK_BYTES; every pair
+    is still reduced by the same einsum, so only the peak memory changes.
+    """
+    n, dim = points.shape
+    out = np.empty((rows.size, n))
+    block = max(1, _BLOCK_BYTES // (8 * n * max(dim, 1)))
+    for start in range(0, rows.size, block):
+        stop = min(start + block, rows.size)
+        out[start:stop] = euclidean(points[rows[start:stop]][:, None, :], points[None, :, :])
+    return out
 
 
 def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
@@ -108,6 +123,7 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
     dist_rows: (m, n) distances from m queries to all n points; self_idx
     gives each query's own column, which is excluded. Returns (indices,
     distances) of shape (m, k), rows sorted ascending, ties by index.
+    dist_rows itself is left unmodified.
     """
     m, n = dist_rows.shape
     d = dist_rows.copy()
@@ -126,21 +142,34 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
         below = np.flatnonzero(d[r] < kth[r])
         ties = np.flatnonzero(d[r] == kth[r])[: k - below.size]
         part[r] = np.concatenate([below, ties])
-        pd[r] = d[r, part[r]]
-    order = np.lexsort((part, pd), axis=1)[:, :k]
-    return np.take_along_axis(part, order, axis=1).astype(np.int64), np.take_along_axis(
-        pd, order, axis=1
-    )
+    # With the selected columns in ascending index order, a stable sort by
+    # distance is the (distance, index) order. The default sort is faster
+    # and agrees with it wherever no two distances in a row are equal, so
+    # only rows holding an equal pair (or a NaN, which sorts last) are
+    # sorted again stably.
+    part.sort(axis=1)
+    pd = np.take_along_axis(d, part, axis=1)
+    order = np.argsort(pd, axis=1)
+    sorted_pd = np.take_along_axis(pd, order, axis=1)
+    redo = (sorted_pd[:, 1:] == sorted_pd[:, :-1]).any(axis=1) | np.isnan(sorted_pd[:, -1])
+    redo = np.flatnonzero(redo)
+    if redo.size:
+        order[redo] = np.argsort(pd[redo], axis=1, kind="stable")
+        sorted_pd[redo] = np.take_along_axis(pd[redo], order[redo], axis=1)
+    return np.take_along_axis(part, order[:, :k], axis=1), sorted_pd[:, :k]
 
 
-def _build_brute(points: np.ndarray, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    n = points.shape[0]
-    indices = np.empty((n, kmax), dtype=np.int64)
-    distances = np.empty((n, kmax), dtype=np.float64)
+def _select_by_chunks(n: int, k: int, chunk_rows) -> tuple[np.ndarray, np.ndarray]:
+    """kNN of all n points, one _CHUNK_ROWS chunk of queries at a time.
+
+    chunk_rows(rows) returns the (rows.size, n) distances of that chunk.
+    """
+    indices = np.empty((n, k), dtype=np.int64)
+    distances = np.empty((n, k), dtype=np.float64)
     for start in range(0, n, _CHUNK_ROWS):
-        rows = np.arange(start, min(start + _CHUNK_ROWS, n))
-        d = _distance_rows(points, rows)
-        indices[rows], distances[rows] = select_knn_rows(d, rows, kmax)
+        stop = min(start + _CHUNK_ROWS, n)
+        rows = np.arange(start, stop)
+        indices[start:stop], distances[start:stop] = select_knn_rows(chunk_rows(rows), rows, k)
     return indices, distances
 
 
@@ -150,115 +179,22 @@ def select_knn_all(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Row i's own column is the excluded self entry. Chunked so per-call
     allocations stay small.
     """
-    n = dists.shape[0]
-    indices = np.empty((n, k), dtype=np.int64)
-    out = np.empty((n, k), dtype=np.float64)
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        rows = np.arange(start, stop)
-        indices[rows], out[rows] = select_knn_rows(dists[start:stop], rows, k)
-    return indices, out
-
-
-class KdTree:
-    """Static KD-tree with median splits on the widest-spread dimension."""
-
-    def __init__(self, points: np.ndarray, leaf_size: int = _LEAF_SIZE):
-        self.points = points
-        self.leaf_size = leaf_size
-        # Nodes as parallel lists: split dim/value for internal nodes,
-        # point-index arrays for leaves.
-        self.split_dim: list[int] = []
-        self.split_val: list[float] = []
-        self.children: list[tuple[int, int]] = []
-        self.leaf_pts: list[np.ndarray | None] = []
-        self.root = self._build(np.arange(points.shape[0]))
-
-    def _build(self, idx: np.ndarray) -> int:
-        node = len(self.split_dim)
-        self.split_dim.append(-1)
-        self.split_val.append(0.0)
-        self.children.append((-1, -1))
-        self.leaf_pts.append(None)
-        if idx.size <= self.leaf_size:
-            self.leaf_pts[node] = idx
-            return node
-        sub = self.points[idx]
-        spreads = sub.max(axis=0) - sub.min(axis=0)
-        dim = int(np.argmax(spreads))
-        if spreads[dim] == 0.0:  # all points identical along every axis
-            self.leaf_pts[node] = idx
-            return node
-        order = np.argsort(sub[:, dim], kind="stable")
-        half = idx.size // 2
-        left_idx, right_idx = idx[order[:half]], idx[order[half:]]
-        self.split_dim[node] = dim
-        self.split_val[node] = float(self.points[right_idx[0], dim])
-        self.children[node] = (self._build(left_idx), self._build(right_idx))
-        return node
-
-    def query(self, q: np.ndarray, qi: int, k: int):
-        """k nearest neighbors of points[qi] under the (distance, index) order."""
-        # Bounded candidate list kept as (dist, idx) pairs; worst element last.
-        best_d = np.full(k, np.inf)
-        best_i = np.full(k, -1, dtype=np.int64)
-
-        def visit(node: int):
-            nonlocal best_d, best_i
-            leaf = self.leaf_pts[node]
-            if leaf is not None:
-                cand = leaf[leaf != qi]
-                if cand.size == 0:
-                    return
-                d = euclidean(self.points[cand], q[None, :])
-                all_d = np.concatenate([best_d, d])
-                all_i = np.concatenate([best_i, cand])
-                keep = np.lexsort((all_i, all_d))[:k]
-                best_d, best_i = all_d[keep], all_i[keep]
-                return
-            dim, val = self.split_dim[node], self.split_val[node]
-            left, right = self.children[node]
-            gap = q[dim] - val
-            near, far = (left, right) if gap < 0 else (right, left)
-            visit(near)
-            # The far side can still hold an equal-distance smaller index,
-            # so only a strictly larger plane gap allows pruning.
-            if abs(gap) <= best_d[-1]:
-                visit(far)
-
-        visit(self.root)
-        return best_i, best_d
-
-
-def _build_kdtree(points: np.ndarray, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    n = points.shape[0]
-    tree = KdTree(points)
-    indices = np.empty((n, kmax), dtype=np.int64)
-    distances = np.empty((n, kmax), dtype=np.float64)
-    for i in range(n):
-        indices[i], distances[i] = tree.query(points[i], i, kmax)
-    return indices, distances
+    return _select_by_chunks(dists.shape[0], k, lambda rows: dists[rows[0] : rows[-1] + 1])
 
 
 def build_neighbor_graph(
     data: Dataset | np.ndarray,
     kmax: int,
-    method: str = "brute",
     metric: str = EUCLIDEAN,
 ) -> NeighborGraph:
-    """Exact kNN graph for all points; ``method`` is 'brute' or 'kdtree'."""
+    """Exact kNN graph for all points, by brute force over row chunks."""
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     if metric not in SUPPORTED_METRICS:
         raise ValueError(f"unsupported metric {metric!r}")
     n = points.shape[0]
     if not 1 <= kmax <= n - 1:
         raise ValueError(f"kmax={kmax} out of range [1, {n - 1}]")
-    if method == "brute":
-        indices, distances = _build_brute(points, kmax)
-    elif method == "kdtree":
-        indices, distances = _build_kdtree(points, kmax)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    indices, distances = _select_by_chunks(n, kmax, lambda rows: _distance_rows(points, rows))
     if not np.isfinite(distances).all():
         raise ValueError(
             "non-finite distances in graph: a pairwise distance exceeds the float range"
@@ -289,25 +225,63 @@ def graph_cache_key(data: Dataset | np.ndarray, kmax: int, metric: str = EUCLIDE
 
 
 def save_graph(graph: NeighborGraph, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", graph.n, graph.kmax))
-        fh.write(graph.indices.astype("<u4").tobytes())
-        fh.write(graph.distances.astype("<f8").tobytes())
+    """Write the graph to ``path`` atomically.
+
+    The bytes go to a sibling temp file that then replaces ``path``, so
+    readers, including other processes sharing the cache directory, see
+    either no entry or a complete one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<II", graph.n, graph.kmax))
+            fh.write(np.ascontiguousarray(graph.indices, dtype="<u4"))
+            fh.write(np.ascontiguousarray(graph.distances, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def load_graph(path: str | Path, n_features: int, metric: str = EUCLIDEAN) -> NeighborGraph:
-    raw = Path(path).read_bytes()
-    n, kmax = struct.unpack_from("<II", raw, 0)
-    off = 8
-    idx_bytes = n * kmax * 4
-    indices = np.frombuffer(raw, dtype="<u4", count=n * kmax, offset=off).reshape(n, kmax)
-    distances = np.frombuffer(
-        raw, dtype="<f8", count=n * kmax, offset=off + idx_bytes
-    ).reshape(n, kmax)
+def load_graph(
+    path: str | Path,
+    n_features: int,
+    metric: str = EUCLIDEAN,
+    n: int | None = None,
+    kmax: int | None = None,
+) -> NeighborGraph:
+    """Read a graph written by save_graph.
+
+    Raises ValueError naming the file unless its size is 8 + 12*n*kmax for
+    the {n, kmax} in its header, that header equals ``n`` and ``kmax`` where
+    they are given, and every index is below n.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(8)
+        if len(header) < 8:
+            raise ValueError(f"corrupt graph cache file {path}: {size} bytes, no header")
+        file_n, file_kmax = struct.unpack("<II", header)
+        count = file_n * file_kmax
+        if size != 8 + 12 * count:
+            raise ValueError(
+                f"corrupt graph cache file {path}: {size} bytes, header n={file_n}"
+                f" kmax={file_kmax} needs {8 + 12 * count}"
+            )
+        if (n is not None and file_n != n) or (kmax is not None and file_kmax != kmax):
+            raise ValueError(
+                f"corrupt graph cache file {path}: header n={file_n} kmax={file_kmax},"
+                f" expected n={n} kmax={kmax}"
+            )
+        indices = np.fromfile(fh, dtype="<u4", count=count)
+        distances = np.fromfile(fh, dtype="<f8", count=count)
+    if count and indices.max() >= file_n:
+        raise ValueError(f"corrupt graph cache file {path}: neighbor index >= n={file_n}")
     return NeighborGraph(
-        indices=indices.astype(np.int64),
-        distances=distances.astype(np.float64),
-        kmax=int(kmax),
+        indices=indices.astype(np.int64).reshape(file_n, file_kmax),
+        distances=distances.reshape(file_n, file_kmax),
+        kmax=int(file_kmax),
         n_features=n_features,
         metric=metric,
     )
@@ -317,16 +291,23 @@ def cached_neighbor_graph(
     data: Dataset | np.ndarray,
     kmax: int,
     cache_dir: str | Path,
-    method: str = "brute",
     metric: str = EUCLIDEAN,
 ) -> NeighborGraph:
-    """Build the graph or load it from ``cache_dir`` when already stored."""
+    """Build the graph or load it from ``cache_dir`` when already stored.
+
+    A corrupt entry is rebuilt and overwritten, with a warning.
+    """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     path = cache_dir / f"{graph_cache_key(points, kmax, metric)}.knn"
     if path.exists():
-        return load_graph(path, n_features=points.shape[1], metric=metric)
-    graph = build_neighbor_graph(data, kmax, method=method, metric=metric)
+        try:
+            return load_graph(
+                path, n_features=points.shape[1], metric=metric, n=points.shape[0], kmax=kmax
+            )
+        except ValueError as exc:
+            warnings.warn(f"rebuilding graph cache entry: {exc}", stacklevel=2)
+    graph = build_neighbor_graph(data, kmax, metric=metric)
     save_graph(graph, path)
     return graph

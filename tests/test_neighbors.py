@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from daodet import neighbors
 from daodet.dataset import Dataset
 from daodet.detectors import score_dao
 from daodet.lid import estimate_profile
 from daodet.neighbors import (
+    _distance_rows,
     build_neighbor_graph,
     cached_neighbor_graph,
     euclidean,
@@ -17,6 +19,8 @@ from daodet.neighbors import (
     kdist,
     load_graph,
     save_graph,
+    select_knn_all,
+    select_knn_rows,
 )
 
 
@@ -50,31 +54,104 @@ def test_equidistant_tie_prefers_smaller_index():
     assert g.indices[0, 0] == 1
 
 
-@pytest.mark.parametrize("method", ["brute", "kdtree"])
-def test_matches_python_oracle(method, rng):
+@pytest.mark.parametrize("path", ["brute", "full_matrix"])
+def test_matches_python_oracle(path, rng):
     pts = rng.standard_normal((60, 3))
-    g = build_neighbor_graph(pts, kmax=10, method=method)
+    if path == "brute":
+        g = build_neighbor_graph(pts, kmax=10)
+        indices, distances = g.indices, g.distances
+    else:  # the timing harness selects from one full distance matrix
+        indices, distances = select_knn_all(_distance_rows(pts, np.arange(60)), 10)
     oi, od = brute_oracle(pts, 10)
+    np.testing.assert_array_equal(indices, oi)
+    np.testing.assert_array_equal(distances, od)
+
+
+def test_brute_matches_oracle_random_200x8(rng):
+    pts = rng.standard_normal((200, 8))
+    g = build_neighbor_graph(pts, kmax=25)
+    oi, od = brute_oracle(pts, 25)
     np.testing.assert_array_equal(g.indices, oi)
     np.testing.assert_array_equal(g.distances, od)
 
 
-def test_kdtree_equals_brute_random_200x8(rng):
-    pts = rng.standard_normal((200, 8))
-    gb = build_neighbor_graph(pts, kmax=25, method="brute")
-    gk = build_neighbor_graph(pts, kmax=25, method="kdtree")
-    np.testing.assert_array_equal(gb.indices, gk.indices)
-    np.testing.assert_array_equal(gb.distances, gk.distances)
-
-
-def test_kdtree_equals_brute_with_ties(rng):
+def test_brute_matches_oracle_with_ties():
     # integer lattice generates many exactly tied distances
     xs, ys = np.meshgrid(np.arange(7.0), np.arange(7.0))
     pts = np.column_stack([xs.ravel(), ys.ravel()])
-    gb = build_neighbor_graph(pts, kmax=12, method="brute")
-    gk = build_neighbor_graph(pts, kmax=12, method="kdtree")
-    np.testing.assert_array_equal(gb.indices, gk.indices)
-    np.testing.assert_array_equal(gb.distances, gk.distances)
+    g = build_neighbor_graph(pts, kmax=12)
+    oi, od = brute_oracle(pts, 12)
+    np.testing.assert_array_equal(g.indices, oi)
+    np.testing.assert_array_equal(g.distances, od)
+
+
+def _tie_heavy_points(dim):
+    lattice = st.tuples(*[st.integers(-3, 3).map(float)] * dim)
+    tenths = st.tuples(*[st.floats(-1, 1).map(lambda x: round(x, 1))] * dim)
+    return st.lists(st.one_of(lattice, tenths), min_size=2, max_size=24, unique=True).map(
+        np.array
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(_tie_heavy_points))
+def test_graph_equals_oracle_on_ties_for_every_kmax(pts):
+    n = len(pts)
+    oi, od = brute_oracle(pts, n - 1)
+    for kmax in range(1, n):
+        g = build_neighbor_graph(pts, kmax=kmax)
+        assert np.array_equal(g.indices, oi[:, :kmax])
+        assert g.distances.tobytes() == od[:, :kmax].tobytes()
+
+
+def test_blocked_distance_rows_equal_single_call(monkeypatch):
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((9, 2))
+    # Squared differences underflow between rows 0, 1, 4 and 5, and
+    # overflow from rows 2 and 6.
+    pts[[0, 1, 4, 5]] = [[0.0, 0.0], [2.49e-191, 0.0], [0.0, 3e-191], [0.0, 5.49e-191]]
+    pts[[2, 6]] = [[1e200, -1e200], [-3e200, 0.0]]
+    rows = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 2, 1])
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape[0])
+        return euclidean(a, b)
+
+    # Two rows per block: rows 1|2 and 5|6 sit on either side of a block edge.
+    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 2 * 8 * pts.size)
+    monkeypatch.setattr(neighbors, "euclidean", counted)
+    blocked = neighbors._distance_rows(pts, rows)
+    assert calls == [2, 2, 2, 2, 2, 1]
+    single = euclidean(pts[rows][:, None], pts[None])
+    assert blocked.tobytes() == single.tobytes()
+    assert blocked[0, 1] == 2.49e-191 and np.isfinite(blocked[2]).all()
+
+
+def _lexsort_select(dist_rows, self_idx, k):
+    """The (distance, index) order by one full two-key lexsort per row."""
+    d = dist_rows.copy()
+    d[np.arange(len(d)), self_idx] = np.inf
+    cols = np.broadcast_to(np.arange(d.shape[1]), d.shape)
+    order = np.lexsort((cols, d), axis=1)[:, :k]
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(d, order, axis=1)
+
+
+def test_select_knn_rows_matches_lexsort_and_keeps_input():
+    rng = np.random.default_rng(3)
+    dist = rng.integers(1, 4, size=(12, 15)).astype(np.float64)
+    dist[0] = 2.0  # one tie spans the whole row
+    dist[1, ::2] = np.inf  # tied infinities
+    dist[2] = np.arange(15.0)[::-1]  # strictly ordered, no tie
+    dist.flags.writeable = False
+    before = dist.tobytes()
+    self_idx = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14])
+    for k in range(1, 15):
+        got_i, got_d = select_knn_rows(dist, self_idx, k)
+        ref_i, ref_d = _lexsort_select(dist, self_idx, k)
+        np.testing.assert_array_equal(got_i, ref_i)
+        assert got_d.tobytes() == ref_d.tobytes()
+    assert dist.tobytes() == before
 
 
 def test_stored_distances_equal_distance_fn(rng):
@@ -210,3 +287,39 @@ def test_cached_graph_reused(tmp_path, rng):
     # different kmax is a different cache entry
     cached_neighbor_graph(ds, 6, tmp_path)
     assert len(list(tmp_path.glob("*.knn"))) == 2
+
+
+def _truncate(raw, n, kmax):
+    return raw[:-5]
+
+
+def _swap_header(raw, n, kmax):  # same size, so only the expected n and kmax catch it
+    return struct.pack("<II", kmax, n) + raw[8:]
+
+
+def _grow_header_n(raw, n, kmax):
+    return struct.pack("<II", n + 1, kmax) + raw[8:]
+
+
+def _index_out_of_range(raw, n, kmax):
+    return raw[:8] + struct.pack("<I", n) + raw[12:]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_truncate, _swap_header, _grow_header_n, _index_out_of_range]
+)
+def test_corrupt_cache_entry_is_rebuilt(corrupt, tmp_path, rng):
+    pts = rng.standard_normal((25, 2))
+    fresh = build_neighbor_graph(pts, 5)
+    cached_neighbor_graph(pts, 5, tmp_path)
+    (path,) = tmp_path.glob("*.knn")
+    good = path.read_bytes()
+    path.write_bytes(corrupt(good, 25, 5))
+    with pytest.raises(ValueError, match=path.name):
+        load_graph(path, n_features=2, n=25, kmax=5)
+    with pytest.warns(UserWarning, match="rebuilding graph cache entry"):
+        g = cached_neighbor_graph(pts, 5, tmp_path)
+    np.testing.assert_array_equal(g.indices, fresh.indices)
+    np.testing.assert_array_equal(g.distances, fresh.distances)
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]

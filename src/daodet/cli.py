@@ -41,12 +41,10 @@ from .evaluation import (
     ols_regression,
     read_records_csv,
     time_detector,  # noqa: F401 (unused here; perfbench/spans.py traces this name)
-    with_dims,
-    with_timing,
     write_records_csv,
 )
-from .lid import FeatureUnavailableError, estimate_profile, estimator_k_grid, write_profile_csv
-from .neighbors import build_neighbor_graph, cached_neighbor_graph, graph_cache_key, save_graph
+from .lid import FeatureUnavailableError, check_estimator, estimate_profile, write_profile_csv
+from .neighbors import build_neighbor_graph, cached_neighbor_graph
 
 THREADS_ENV = "DAODET_THREADS"
 
@@ -107,29 +105,21 @@ def _check_distinctness(ds: Dataset) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    dims = parse_int_list(args.dims)
     template = synthgen.SynthSpec(
         ambient_dim=args.ambient_dim,
         cluster_size=args.cluster_size,
         dim_c1=args.dim_c1,
     )
-    for d in dims:
-        if not 1 <= d <= args.ambient_dim:
-            raise UsageError(f"--dims value {d} outside [1, ambient {args.ambient_dim}]")
-    if args.reps < 1:
-        raise UsageError("--reps must be >= 1")
+    try:
+        specs = synthgen.suite_specs(args.reps, parse_int_list(args.dims), args.seed, template)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    count = 0
-    index = 0
-    for _ in range(args.reps):
-        for dim in dims:
-            spec = replace(template, dim_c2=dim, seed=args.seed + index)
-            dataset, report = synthgen.generate(spec)
-            write_csv(dataset, out / f"{dataset.name}.csv", synthgen.sidecar_metadata(spec, report))
-            count += 1
-            index += 1
-    print(f"wrote {count} datasets to {out}")
+    for spec in specs:
+        dataset, report = synthgen.generate(spec)
+        write_csv(dataset, out / f"{dataset.name}.csv", synthgen.sidecar_metadata(spec, report))
+    print(f"wrote {len(specs)} datasets to {out}")
     return 0
 
 
@@ -159,40 +149,34 @@ def _load_for_run(path: Path, label_column: str) -> Dataset:
     return load_csv(path, label_column=label_column if has_label else None)
 
 
-def _run_one(task: tuple[str, str, dict]) -> tuple[str, list[EvalRecord] | None]:
+def _run_one(
+    task: tuple[str, str, SweepConfig, str | None, bool],
+) -> tuple[str, list[EvalRecord] | None]:
     """Evaluate one dataset file; returns (path, records or None if skipped)."""
-    path_s, label_column, opts = task
+    path_s, label_column, config, cache, timing = task
     path = Path(path_s)
     ds = _load_for_run(path, label_column)
     _check_distinctness(ds)
     if ds.labels is None:
         return path_s, None
-    config = SweepConfig(
-        detectors=tuple(opts["detectors"]),
-        k_range=opts["k_range"],
-        lid_estimator=opts["estimator"],
-        lid_k_grid=opts["lid_grid"],
-    )
-    n = ds.n
-    ks = [k for k in opts["k_range"] if k <= n - 1]
-    if len(ks) < len(list(opts["k_range"])):
-        _warn(f"dataset {ds.name!r}: k range truncated to <= {n - 1}")
-    graph = None
-    if opts["cache"]:
-        grid = opts["lid_grid"] if opts["lid_grid"] is not None else estimator_k_grid(n)
-        kmax = max(max(ks), max(k for k in grid if k <= n - 1))
-        graph = cached_neighbor_graph(ds, kmax, opts["cache"])
+    det_ks, _, kmax = config.grids(ds.n)
+    if len(det_ks) < len(config.k_range):
+        _warn(f"dataset {ds.name!r}: k range truncated to <= {ds.n - 1}")
+    graph = cached_neighbor_graph(ds, kmax, cache) if cache else None
     records = evaluate_dataset(ds, config, graph=graph)
     meta = read_sidecar(path) or {}
-    dim_c1, dim_c2 = meta.get("dim_c1"), meta.get("dim_c2")
-    records = [with_dims(rec, dim_c1, dim_c2) for rec in records]
-    if opts["timing"]:
+    records = [
+        replace(rec, dim_c1=meta.get("dim_c1"), dim_c2=meta.get("dim_c2")) for rec in records
+    ]
+    if timing:
         # One call per dataset, so the detectors share a distance matrix and
         # their runs interleave.
         times = evaluation.time_detectors(
-            ds, [rec.detector for rec in records], ks, opts["estimator"], opts["lid_grid"]
+            ds, config.detectors, config.k_range, config.lid_estimator, config.lid_k_grid
         )
-        records = [with_timing(rec, *times[rec.detector]) for rec in records]
+        for i, rec in enumerate(records):
+            mean_s, std_s = times[rec.detector]
+            records[i] = replace(rec, runtime_mean_s=mean_s, runtime_std_s=std_s)
     return path_s, records
 
 
@@ -208,18 +192,17 @@ def cmd_run(args, config_file: dict[str, str]) -> int:
     )
     if not data:
         raise UsageError("run needs --data (or 'data = ...' in the config file)")
-    detectors = [d.strip() for d in setting("detectors", ",".join(DETECTORS)).split(",")]
-    for d in detectors:
-        if d not in DETECTORS:
-            raise UsageError(f"unknown detector {d!r}; choose from {DETECTORS}")
-    estimator = setting("estimator", "mle")
-    if estimator == "tle":
-        raise FeatureUnavailableError("the tle estimator is not built; use 'mle' or 'twonn'")
-    if estimator not in ("mle", "twonn"):
-        raise UsageError(f"unknown estimator {estimator!r}")
-    k_range = parse_int_list(setting("k", "5..100"))
+    detectors = setting("detectors", ",".join(DETECTORS))
     lid_grid_s = setting("lid_grid", None)
-    lid_grid = parse_int_list(lid_grid_s) if lid_grid_s else None
+    try:
+        config = SweepConfig(
+            detectors=tuple(d.strip() for d in detectors.split(",")),
+            k_range=parse_int_list(setting("k", "5..100")),
+            lid_estimator=setting("estimator", "mle"),
+            lid_k_grid=parse_int_list(lid_grid_s) if lid_grid_s else None,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     out = setting("out", None)
     if out is None:
         raise UsageError("run needs --out for the records CSV")
@@ -229,15 +212,7 @@ def cmd_run(args, config_file: dict[str, str]) -> int:
     timing = bool(args.timing or config_file.get("timing", "").lower() in ("1", "true", "yes"))
 
     paths = _collect_data_paths(list(data))
-    opts = {
-        "detectors": detectors,
-        "k_range": k_range,
-        "estimator": estimator,
-        "lid_grid": lid_grid,
-        "cache": cache,
-        "timing": timing,
-    }
-    tasks = [(str(p), label_column, opts) for p in paths]
+    tasks = [(str(p), label_column, config, cache, timing) for p in paths]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_one, tasks))
@@ -255,7 +230,7 @@ def cmd_run(args, config_file: dict[str, str]) -> int:
     if not all_records:
         print("error: all datasets were skipped (no labels found)", file=sys.stderr)
         return 2
-    order = {d: i for i, d in enumerate(detectors)}
+    order = {d: i for i, d in enumerate(config.detectors)}
     all_records.sort(key=lambda r: (r.dataset, order[r.detector]))
     write_records_csv(all_records, out)
     print(f"wrote {len(all_records)} records for {len(paths) - skipped} datasets to {out}")
@@ -430,10 +405,9 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_lid(args) -> int:
+    check_estimator(args.estimator)
     ds = _load_for_run(Path(args.data), args.label_column)
     _check_distinctness(ds)
-    if args.estimator == "tle":
-        raise FeatureUnavailableError("the tle estimator is not built; use 'mle' or 'twonn'")
     kmax = max(args.k, 2)
     if kmax > ds.n - 1:
         raise UsageError(f"--k {args.k} too large for n={ds.n}")
@@ -448,12 +422,8 @@ def cmd_knn_cache(args) -> int:
     ds = _load_for_run(Path(args.data), args.label_column)
     if not 1 <= args.kmax <= ds.n - 1:
         raise UsageError(f"--kmax must lie in [1, {ds.n - 1}]")
-    cache_dir = Path(args.cache)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    graph = build_neighbor_graph(ds, args.kmax)
-    key = graph_cache_key(ds, args.kmax, graph.metric)
-    save_graph(graph, cache_dir / f"{key}.knn")
-    print(f"cached graph {key} (n={graph.n}, kmax={graph.kmax}) in {cache_dir}")
+    graph = cached_neighbor_graph(ds, args.kmax, args.cache)
+    print(f"cached graph (n={graph.n}, kmax={graph.kmax}) in {args.cache}")
     return 0
 
 

@@ -15,9 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-EUCLIDEAN = "euclidean"
-SUPPORTED_METRICS = (EUCLIDEAN,)
-
 # Below this max per-column distinct-value fraction a dataset is considered
 # effectively discrete and the CLI emits a warning.
 DISTINCTNESS_WARN_THRESHOLD = 0.20
@@ -114,8 +111,9 @@ def load_csv(
     The first row is treated as a header iff it contains any non-numeric
     cell. ``label_column`` selects the label column by header name or
     0-based index; its cells must match ``outlier_token``/``inlier_token``.
-    Exact duplicate coordinate rows are dropped, first occurrence (and its
-    label) wins; the count is recorded on ``Dataset.dropped_duplicates``.
+    Duplicate coordinate rows (equal by value, so 0.0 matches -0.0) are
+    dropped, first occurrence (and its label) wins; the count is recorded
+    on ``Dataset.dropped_duplicates``.
     """
     path = Path(path)
     if not path.exists():
@@ -162,15 +160,10 @@ def load_csv(
         raise DatasetError(f"ragged rows in {path}: widths {sorted(widths)}")
     pts = np.array(points, dtype=np.float64)
 
-    # Exact-equality dedup, first occurrence wins (row order preserved).
-    seen: dict[bytes, int] = {}
-    keep = []
-    for i in range(pts.shape[0]):
-        key = pts[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    dropped = pts.shape[0] - len(keep)
+    # Dedup by value, the rule Dataset checks (so 0.0 equals -0.0); the
+    # first occurrence wins and row order is kept.
+    keep = np.sort(np.unique(pts, axis=0, return_index=True)[1])
+    dropped = pts.shape[0] - keep.size
     pts = pts[keep]
     if pts.shape[0] < 2:
         raise DatasetError(f"fewer than 2 distinct points remain after dedup in {path}")

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import special, stats
 
 from .dataset import Dataset
-from .detectors import SCORERS, ScoreVector, dao_kernel, dao_log_ratios, score_dao
-from .lid import LidProfile, estimate_profile, estimator_k_grid
+from .detectors import DETECTORS, SCORERS, ScoreVector, dao_kernel, dao_log_ratios, score_dao
+from .lid import K_GRID, LidProfile, check_estimator, estimate_profile
 from .neighbors import NeighborGraph, _distance_rows, build_neighbor_graph, select_knn_all
 
 DEFAULT_K_RANGE = range(5, 101)
@@ -57,6 +56,21 @@ class RegressionResult:
     pearson_rho: float
 
 
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tie groups of ``values`` under one stable sort, and their midranks.
+
+    Returns (order, edges, midranks): group g holds the sorted positions
+    [edges[g], edges[g + 1]), and each of its values ranks
+    (edges[g] + edges[g + 1] + 1) / 2, ties sharing their average rank
+    (1 = smallest). Every rank and partial sum of ranks is a half-integer
+    below 2**53, so sums of ranks are exact in any order. NaN sorts last.
+    """
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    edges = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1], True])
+    return order, edges, (edges[:-1] + edges[1:] + 1) / 2.0
+
+
 def roc_auc(scores: ScoreVector | np.ndarray, labels: np.ndarray) -> float:
     """Probability that a random outlier outscores a random inlier.
 
@@ -72,15 +86,9 @@ def roc_auc(scores: ScoreVector | np.ndarray, labels: np.ndarray) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("labels must contain both classes for ROC AUC")
-    # Midranks from one stable sort: a tie group at sorted positions
-    # [start, end) holds rank (start + end + 1) / 2. Every rank and partial
-    # sum is a half-integer below 2**53, so the sum is exact in any order.
-    order = np.argsort(s, kind="stable")
-    ranked = s[order]
-    if np.isnan(ranked[-1]):  # NaN sorts last
+    order, edges, midranks = _midranks(s)
+    if np.isnan(s[order[-1]]):
         return float("nan")
-    edges = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1], True])
-    midranks = (edges[:-1] + edges[1:] + 1) / 2.0
     pos_per_group = np.add.reduceat((y[order] == 1).astype(np.int64), edges[:-1])
     u = (midranks * pos_per_group).sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -152,6 +160,8 @@ def morans_I_maxmag(
 
 def _t_sf_two_sided(t: float, df: int) -> float:
     """Two-sided tail of Student's t via the regularized incomplete beta."""
+    from scipy import special  # imported here: only report tables need it
+
     if not np.isfinite(t):
         return 0.0
     return float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
@@ -218,7 +228,10 @@ def friedman_nemenyi(
     if not np.all(np.isfinite(table)):
         raise IncompleteGridError("AUC table contains missing cells")
     n_datasets, n_methods = table.shape
-    ranks = np.vstack([stats.rankdata(-row, method="average") for row in table])
+    ranks = np.empty_like(table)
+    for row, row_ranks in zip(table, ranks):
+        order, edges, midranks = _midranks(-row)
+        row_ranks[order] = np.repeat(midranks, np.diff(edges))
     avg_ranks = ranks.mean(axis=0)
     cd = nemenyi_q(alpha, n_methods) * np.sqrt(n_methods * (n_methods + 1) / (6.0 * n_datasets))
     return avg_ranks, float(cd)
@@ -259,11 +272,33 @@ def _dao_sweep(graph, labels, det_ks, profiles):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    detectors: tuple[str, ...] = ("knn", "lof", "slof", "dao")
+    """The best-k protocol: detectors swept over k_range, DAO also over
+    lid_k_grid (None: lid.K_GRID) with one LID estimator.
+
+    Names are checked here, and ``grids`` is the only code that fits the
+    k ranges to a dataset.
+    """
+
+    detectors: tuple[str, ...] = DETECTORS
     k_range: Sequence[int] = DEFAULT_K_RANGE
     lid_estimator: str = "mle"
-    lid_k_grid: Sequence[int] | None = None   # None: standard grid truncated
-    morans_k_range: Sequence[int] | None = None  # None: detector k range
+    lid_k_grid: Sequence[int] | None = None
+
+    def __post_init__(self):
+        for det in self.detectors:
+            if det not in DETECTORS:
+                raise ValueError(f"unknown detector {det!r}; choose from {DETECTORS}")
+        check_estimator(self.lid_estimator)
+
+    def grids(self, n: int) -> tuple[list[int], list[int], int]:
+        """(detector ks, LID grid ks, graph kmax) for a dataset of n points.
+
+        Both ranges are sorted and truncated to k <= n - 1; kmax is the
+        largest k either needs.
+        """
+        det_ks = _truncate_k_range(self.k_range, n)
+        lid_ks = _truncate_k_range(K_GRID if self.lid_k_grid is None else self.lid_k_grid, n)
+        return det_ks, lid_ks, max(det_ks[-1], lid_ks[-1])
 
 
 def evaluate_dataset(
@@ -281,35 +316,24 @@ def evaluate_dataset(
     """
     if dataset.labels is None:
         raise ValueError(f"dataset {dataset.name!r} has no labels")
-    n = dataset.n
-    det_ks = _truncate_k_range(config.k_range, n)
-    lid_grid = (
-        estimator_k_grid(n)
-        if config.lid_k_grid is None
-        else _truncate_k_range(config.lid_k_grid, n)
-    )
-    kmax = max(max(det_ks), max(lid_grid))
+    det_ks, lid_ks, kmax = config.grids(dataset.n)
     if graph is None:
         graph = build_neighbor_graph(dataset, kmax)
     elif graph.kmax < kmax:
         raise ValueError(f"provided graph kmax={graph.kmax} < needed {kmax}")
 
-    profiles = {lk: estimate_profile(config.lid_estimator, graph, lk) for lk in lid_grid}
+    profiles = {lk: estimate_profile(config.lid_estimator, graph, lk) for lk in lid_ks}
 
     dao_best = None
     if "dao" in config.detectors:
         dao_best = _dao_sweep(graph, dataset.labels, det_ks, profiles)
 
-    ref_profile = profiles[dao_best[2]] if dao_best is not None else profiles[max(lid_grid)]
+    ref_profile = profiles[dao_best[2]] if dao_best is not None else profiles[lid_ks[-1]]
     disp = dispersion_R(ref_profile)
-    morans_ks = _truncate_k_range(
-        config.morans_k_range if config.morans_k_range is not None else det_ks, n
-    )
-    morans_ks = [k for k in morans_ks if k <= graph.kmax]
     try:
-        mi, mk = morans_I_maxmag(ref_profile.log_ids, graph, morans_ks)
+        mi, mk = morans_I_maxmag(ref_profile.log_ids, graph, det_ks)
     except ValueError:  # constant profile: autocorrelation undefined
-        mi, mk = float("nan"), morans_ks[0]
+        mi, mk = float("nan"), det_ks[0]
 
     records = []
     for det in config.detectors:
@@ -359,7 +383,7 @@ def best_k_sweep(
 # Timing
 # ---------------------------------------------------------------------------
 
-def _detector_runs(detector, det_ks, lid_grid, lid_estimator):
+def _detector_runs(detector, det_ks, lid_ks, lid_estimator):
     """(k to select, scoring closure) per run of one detector.
 
     A baseline run covers one candidate neighborhood size; a
@@ -369,17 +393,15 @@ def _detector_runs(detector, det_ks, lid_grid, lid_estimator):
     runs = []
     if detector == "dao":
         for k in det_ks:
-            for lid_k in lid_grid:
+            for lid_k in lid_ks:
                 def score(graph, k=k, lid_k=lid_k):
                     profile = estimate_profile(lid_estimator, graph, lid_k)
                     score_dao(graph, k, profile)
                 runs.append((max(k, lid_k), score))
-    elif detector in SCORERS:
+    else:
         scorer = SCORERS[detector]
         for k in det_ks:
             runs.append((k, lambda graph, k=k: scorer(graph, k)))
-    else:
-        raise ValueError(f"unknown detector {detector!r}")
     return runs
 
 
@@ -398,14 +420,9 @@ def time_detectors(
     detectors are interleaved round-robin after an untimed warmup so that
     machine-state drift cannot bias one detector's mean against another's.
     """
-    n = dataset.n
-    det_ks = _truncate_k_range(k_range, n)
-    lid_grid = (
-        estimator_k_grid(n)
-        if lid_k_grid is None
-        else _truncate_k_range(lid_k_grid, n)
-    )
-    dists = _distance_rows(dataset.points, np.arange(n))
+    config = SweepConfig(tuple(detectors), k_range, lid_estimator, lid_k_grid)
+    det_ks, lid_ks, _ = config.grids(dataset.n)
+    dists = _distance_rows(dataset.points, np.arange(dataset.n))
 
     def run(k_sets: int, score) -> float:
         t0 = time.perf_counter()
@@ -417,7 +434,7 @@ def time_detectors(
         return time.perf_counter() - t0
 
     per_detector = {
-        det: _detector_runs(det, det_ks, lid_grid, lid_estimator) for det in detectors
+        det: _detector_runs(det, det_ks, lid_ks, lid_estimator) for det in config.detectors
     }
     for runs in per_detector.values():
         for k_sets, score in runs[:2] * 2:  # untimed warmup round
@@ -440,7 +457,6 @@ def time_detector(
 ) -> tuple[float, float]:
     """Single-detector wrapper around time_detectors."""
     return time_detectors(dataset, [detector], k_range, lid_estimator, lid_k_grid)[detector]
-
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +518,3 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
                 )
             )
     return records
-
-
-def with_dims(record: EvalRecord, dim_c1: int | None, dim_c2: int | None) -> EvalRecord:
-    return replace(record, dim_c1=dim_c1, dim_c2=dim_c2)
-
-
-def with_timing(record: EvalRecord, mean_s: float, std_s: float) -> EvalRecord:
-    return replace(record, runtime_mean_s=mean_s, runtime_std_s=std_s)

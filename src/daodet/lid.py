@@ -27,6 +27,9 @@ class FeatureUnavailableError(NotImplementedError):
     """An optional, feature-gated estimator that is not built."""
 
 
+_TLE_UNAVAILABLE = "the tle estimator is not built; use 'mle' or 'twonn'"
+
+
 @dataclass(frozen=True)
 class LidProfile:
     """Per-point LID estimates from one estimator at one neighborhood size."""
@@ -116,12 +119,22 @@ def estimate_tle(graph: NeighborGraph, dataset, k: int) -> LidProfile:
     reference implementation that is not available to validate against,
     and nothing downstream requires it.
     """
-    raise FeatureUnavailableError(
-        "the tle estimator is not built; use 'mle' or 'twonn'"
-    )
+    raise FeatureUnavailableError(_TLE_UNAVAILABLE)
 
 
 ESTIMATORS = {"mle": estimate_mle, "twonn": lambda graph, k, **kw: estimate_twonn(graph, **kw)}
+
+
+def check_estimator(estimator: str) -> None:
+    """Raise unless ``estimator`` names a built estimator.
+
+    The gated tle raises FeatureUnavailableError; any other unknown name
+    raises ValueError.
+    """
+    if estimator == "tle":
+        raise FeatureUnavailableError(_TLE_UNAVAILABLE)
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}; choose from {sorted(ESTIMATORS)}")
 
 
 def estimator_k_grid(n: int | None = None) -> list[int]:
@@ -132,10 +145,7 @@ def estimator_k_grid(n: int | None = None) -> list[int]:
 
 
 def estimate_profile(estimator: str, graph: NeighborGraph, k: int, **kwargs) -> LidProfile:
-    if estimator not in ESTIMATORS:
-        if estimator == "tle":
-            estimate_tle(graph, None, k)
-        raise ValueError(f"unknown estimator {estimator!r}; choose from {sorted(ESTIMATORS)}")
+    check_estimator(estimator)
     return ESTIMATORS[estimator](graph, k, **kwargs)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import EUCLIDEAN, SUPPORTED_METRICS, Dataset
+from .dataset import Dataset
 
 _CHUNK_ROWS = 256
 # Cap on the (rows, n, d) difference temporary of one euclidean call.
@@ -33,8 +33,6 @@ class NeighborGraph:
     distances: np.ndarray  # (n, kmax) float64, non-decreasing along rows
     kmax: int
     n_features: int
-    metric: str = EUCLIDEAN
-    tie_rule: str = "ascending-index"
 
     def __post_init__(self):
         self.indices.flags.writeable = False
@@ -182,15 +180,9 @@ def select_knn_all(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _select_by_chunks(dists.shape[0], k, lambda rows: dists[rows[0] : rows[-1] + 1])
 
 
-def build_neighbor_graph(
-    data: Dataset | np.ndarray,
-    kmax: int,
-    metric: str = EUCLIDEAN,
-) -> NeighborGraph:
+def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph:
     """Exact kNN graph for all points, by brute force over row chunks."""
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
-    if metric not in SUPPORTED_METRICS:
-        raise ValueError(f"unsupported metric {metric!r}")
     n = points.shape[0]
     if not 1 <= kmax <= n - 1:
         raise ValueError(f"kmax={kmax} out of range [1, {n - 1}]")
@@ -203,11 +195,7 @@ def build_neighbor_graph(
     if distances[:, 0].min() <= 0.0:
         raise ValueError("zero distance in graph: input contains duplicate points")
     return NeighborGraph(
-        indices=indices,
-        distances=distances,
-        kmax=kmax,
-        n_features=points.shape[1],
-        metric=metric,
+        indices=indices, distances=distances, kmax=kmax, n_features=points.shape[1]
     )
 
 
@@ -216,11 +204,12 @@ def build_neighbor_graph(
 # block (uint32, row-major) and the distance block (float64, row-major).
 # ---------------------------------------------------------------------------
 
-def graph_cache_key(data: Dataset | np.ndarray, kmax: int, metric: str = EUCLIDEAN) -> str:
+def graph_cache_key(data: Dataset | np.ndarray, kmax: int) -> str:
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(points).tobytes())
-    h.update(f"|kmax={kmax}|metric={metric}".encode())
+    # The metric suffix is kept so existing cache file names stay valid.
+    h.update(f"|kmax={kmax}|metric=euclidean".encode())
     return h.hexdigest()
 
 
@@ -245,11 +234,7 @@ def save_graph(graph: NeighborGraph, path: str | Path) -> None:
 
 
 def load_graph(
-    path: str | Path,
-    n_features: int,
-    metric: str = EUCLIDEAN,
-    n: int | None = None,
-    kmax: int | None = None,
+    path: str | Path, n_features: int, n: int | None = None, kmax: int | None = None
 ) -> NeighborGraph:
     """Read a graph written by save_graph.
 
@@ -283,15 +268,11 @@ def load_graph(
         distances=distances.reshape(file_n, file_kmax),
         kmax=int(file_kmax),
         n_features=n_features,
-        metric=metric,
     )
 
 
 def cached_neighbor_graph(
-    data: Dataset | np.ndarray,
-    kmax: int,
-    cache_dir: str | Path,
-    metric: str = EUCLIDEAN,
+    data: Dataset | np.ndarray, kmax: int, cache_dir: str | Path
 ) -> NeighborGraph:
     """Build the graph or load it from ``cache_dir`` when already stored.
 
@@ -300,14 +281,12 @@ def cached_neighbor_graph(
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
-    path = cache_dir / f"{graph_cache_key(points, kmax, metric)}.knn"
+    path = cache_dir / f"{graph_cache_key(points, kmax)}.knn"
     if path.exists():
         try:
-            return load_graph(
-                path, n_features=points.shape[1], metric=metric, n=points.shape[0], kmax=kmax
-            )
+            return load_graph(path, n_features=points.shape[1], n=points.shape[0], kmax=kmax)
         except ValueError as exc:
             warnings.warn(f"rebuilding graph cache entry: {exc}", stacklevel=2)
-    graph = build_neighbor_graph(data, kmax, metric=metric)
+    graph = build_neighbor_graph(data, kmax)
     save_graph(graph, path)
     return graph

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .dataset import Dataset
 
@@ -88,6 +87,7 @@ def chi2_quantile(m: int, p: float) -> float:
         raise ValueError(f"degrees of freedom must be a positive integer, got {m}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
+    from scipy import special  # imported here: only generation needs it
 
     def cdf(x: float) -> float:
         return special.gammainc(m / 2.0, x / 2.0)
@@ -184,16 +184,16 @@ def default_dims_c2() -> list[int]:
     return list(range(2, 33, 2))
 
 
-def benchmark_suite(
+def suite_specs(
     reps: int,
     dims_c2: Sequence[int] | None = None,
     seed0: int = 0,
     template: SynthSpec | None = None,
-) -> list[Dataset]:
-    """reps replicates of one dataset per dim_c2 value, seeds seed0+index.
+) -> list[SynthSpec]:
+    """reps replicates of one spec per dim_c2 value, seeds seed0+index.
 
     The index runs replicate-major: all dims of replicate 0 first. The
-    default grid is the 16 even dimensions, so reps=30 yields 480 datasets.
+    default grid is the 16 even dimensions, so reps=30 yields 480 specs.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -203,15 +203,22 @@ def benchmark_suite(
         raise ValueError("dims_c2 must be non-empty")
     for d in dims:
         if not 1 <= d <= template.ambient_dim:
-            raise ValueError(f"dim_c2={d} outside [1, {template.ambient_dim}]")
-    datasets = []
-    index = 0
-    for _ in range(reps):
-        for dim in dims:
-            spec = replace(template, dim_c2=dim, seed=seed0 + index)
-            datasets.append(generate(spec)[0])
-            index += 1
-    return datasets
+            raise ValueError(f"dim_c2={d} outside [1, ambient {template.ambient_dim}]")
+    return [
+        replace(template, dim_c2=dim, seed=seed0 + rep * len(dims) + i)
+        for rep in range(reps)
+        for i, dim in enumerate(dims)
+    ]
+
+
+def benchmark_suite(
+    reps: int,
+    dims_c2: Sequence[int] | None = None,
+    seed0: int = 0,
+    template: SynthSpec | None = None,
+) -> list[Dataset]:
+    """The datasets of ``suite_specs(reps, dims_c2, seed0, template)``."""
+    return [generate(spec)[0] for spec in suite_specs(reps, dims_c2, seed0, template)]
 
 
 def sidecar_metadata(spec: SynthSpec, report: GenReport) -> dict:

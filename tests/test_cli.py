@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from daodet.cli import main, parse_int_list
-from daodet.dataset import load_csv
+from daodet.dataset import Dataset, load_csv, write_csv
 
 
 def run_cli(*argv):
@@ -147,6 +151,23 @@ def test_run_truncates_oversized_k_with_warning(tmp_path, capsys):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert all(int(r["best_k"]) <= 59 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "grids", [["--k", "50..60", "--lid-grid", "5"], ["--k", "5", "--lid-grid", "50..60"]]
+)
+def test_run_no_usable_k_same_with_and_without_cache(grids, tmp_path, capsys):
+    data = tmp_path / "tiny.csv"
+    points = np.random.default_rng(3).standard_normal((40, 2))
+    write_csv(Dataset(points=points, labels=np.arange(40) < 4, name="tiny"), data)
+    errors = []
+    for cache in ([], ["--cache", str(tmp_path / "cache")]):
+        assert run_cli(
+            "run", "--data", str(data), *grids, "--out", str(tmp_path / "r.csv"), *cache
+        ) == 2
+        errors.append(capsys.readouterr().err)
+    assert "no usable k in range for n=40" in errors[0]
+    assert errors[1] == errors[0]
 
 
 def test_run_corrupted_csv_is_data_error(tmp_path, capsys):
@@ -316,6 +337,57 @@ def test_knn_cache_command(synth_dir, tmp_path):
     data = sorted(synth_dir.glob("*.csv"))[0]
     assert run_cli("knn-cache", "--data", str(data), "--kmax", "15", "--cache", str(cache)) == 0
     assert len(list(cache.glob("*.knn"))) == 1
+
+
+@pytest.mark.parametrize(
+    "estimator, message",
+    [("bogus", "unknown estimator 'bogus'"), ("tle", "tle estimator is not built")],
+)
+def test_lid_rejects_estimator_before_building_a_graph(
+    estimator, message, synth_dir, tmp_path, monkeypatch, capsys
+):
+    from daodet import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_neighbor_graph", lambda *args: built.append(args))
+    data = sorted(synth_dir.glob("*.csv"))[0]
+    assert run_cli(
+        "lid", "--data", str(data), "--estimator", estimator, "--out", str(tmp_path / "p.csv")
+    ) == 2
+    assert message in capsys.readouterr().err
+    assert built == []
+
+
+def test_knn_cache_twice_keeps_one_entry(synth_dir, tmp_path, monkeypatch):
+    from daodet import cli, neighbors
+
+    cache = tmp_path / "cache"
+    data = sorted(synth_dir.glob("*.csv"))[0]
+    argv = ("knn-cache", "--data", str(data), "--kmax", "15", "--cache", str(cache))
+    assert run_cli(*argv) == 0
+    (entry,) = cache.iterdir()
+    first = entry.read_bytes()
+
+    def no_build(*args):
+        raise AssertionError("knn-cache rebuilt a valid cache entry")
+
+    monkeypatch.setattr(neighbors, "build_neighbor_graph", no_build)
+    monkeypatch.setattr(cli, "build_neighbor_graph", no_build)
+    assert run_cli(*argv) == 0
+    assert list(cache.iterdir()) == [entry]
+    assert entry.read_bytes() == first
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import daodet
+
+    src = str(Path(daodet.__file__).resolve().parents[1])
+    code = "import sys, daodet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_usage_exit_codes():

@@ -27,6 +27,16 @@ def test_dedup_drops_exact_duplicates(tmp_path):
     np.testing.assert_array_equal(ds.points, [[1, 2], [3, 4], [5, 6]])
 
 
+def test_dedup_treats_signed_zeros_as_equal(tmp_path):
+    # Dataset compares rows by value, so load_csv must dedup by value too.
+    path = write_lines(tmp_path / "z.csv", ["0.0,1.0,0", "-0.0,1.0,0", "2.0,3.0,1"])
+    ds = load_csv(path, label_column=2)
+    assert ds.dropped_duplicates == 1
+    np.testing.assert_array_equal(ds.points, [[0.0, 1.0], [2.0, 3.0]])
+    assert not np.signbit(ds.points[0, 0])  # the first occurrence wins
+    np.testing.assert_array_equal(ds.labels, [0, 1])
+
+
 def test_label_passthrough(tmp_path):
     path = write_lines(tmp_path / "d.csv", ["a,b,label", "0,0,0", "1,0,0", "9,9,1"])
     ds = load_csv(path, label_column="label")

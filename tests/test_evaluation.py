@@ -7,6 +7,7 @@ from scipy import stats
 from daodet.evaluation import (
     IncompleteGridError,
     SweepConfig,
+    _midranks,
     best_k_sweep,
     dispersion_R,
     evaluate_dataset,
@@ -21,6 +22,7 @@ from daodet.evaluation import (
     write_records_csv,
 )
 from daodet.dataset import Dataset
+from daodet.lid import FeatureUnavailableError
 from daodet.neighbors import build_neighbor_graph
 from daodet.synthgen import SynthSpec, generate
 
@@ -273,6 +275,36 @@ def test_friedman_matches_sort_oracle(rng):
     assert cd == pytest.approx(2.569032 * np.sqrt(4 * 5 / 60.0), abs=1e-5)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 10).flatmap(  # Nemenyi q is tabulated for 2..10 methods
+        lambda m: st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(-3, 3).map(lambda v: v / 4.0),  # heavy ties
+                    st.floats(0, 1).map(lambda v: round(v, 1)),
+                ),
+                min_size=m,
+                max_size=m,
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+)
+def test_midranks_equal_rankdata_bitwise(rows):
+    table = np.array(rows)
+    for row in table:
+        order, edges, midranks = _midranks(-row)
+        ranks = np.empty(row.size)
+        ranks[order] = np.repeat(midranks, np.diff(edges))
+        assert ranks.tobytes() == stats.rankdata(-row, method="average").tobytes()
+    # so friedman_nemenyi's average ranks (ranks.csv) match the rankdata ones
+    ranks, _ = friedman_nemenyi(table)
+    expected = np.vstack([stats.rankdata(-row, method="average") for row in table]).mean(axis=0)
+    assert ranks.tobytes() == expected.tobytes()
+
+
 def test_nemenyi_q_against_studentized_range():
     for alpha in (0.10, 0.05, 0.01):
         for m in (2, 4, 7, 10):
@@ -351,6 +383,28 @@ def test_best_k_sweep_unlabeled_and_k_range(small_ds):
         best_k_sweep(unlabeled, "knn", k_range=[5])
     with pytest.raises(ValueError, match="no usable k"):
         best_k_sweep(small_ds, "knn", k_range=[small_ds.n])
+
+
+def test_sweep_config_checks_names():
+    with pytest.raises(ValueError, match="unknown detector 'bogus'"):
+        SweepConfig(detectors=("knn", "bogus"))
+    with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
+        SweepConfig(lid_estimator="bogus")
+    with pytest.raises(FeatureUnavailableError, match="tle"):
+        SweepConfig(lid_estimator="tle")
+
+
+def test_sweep_config_grids():
+    config = SweepConfig(k_range=[40, 5, 200, 5])
+    assert config.grids(100) == ([5, 40], [5, 10, 15, 30, 50, 90], 90)
+    assert config.grids(41) == ([5, 40], [5, 10, 15, 30], 40)
+    config = SweepConfig(k_range=[5, 10], lid_k_grid=[20, 3])
+    assert config.grids(100) == ([5, 10], [3, 20], 20)
+    assert config.grids(12) == ([5, 10], [3], 10)
+    with pytest.raises(ValueError, match="no usable k in range for n=4"):
+        config.grids(4)  # no detector k fits
+    with pytest.raises(ValueError, match="no usable k in range for n=5"):
+        SweepConfig(k_range=[2]).grids(5)  # no K_GRID size fits
 
 
 def test_evaluate_dataset_records(small_ds):

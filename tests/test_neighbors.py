@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -280,7 +281,9 @@ def test_cached_graph_reused(tmp_path, rng):
     g1 = cached_neighbor_graph(ds, 5, tmp_path)
     files = list(tmp_path.glob("*.knn"))
     assert len(files) == 1
-    assert files[0].stem == graph_cache_key(ds, 5, "euclidean")
+    # The key format pins the names of existing cache files.
+    expected = hashlib.sha256(pts.tobytes() + b"|kmax=5|metric=euclidean").hexdigest()
+    assert files[0].stem == expected == graph_cache_key(ds, 5)
     g2 = cached_neighbor_graph(ds, 5, tmp_path)
     np.testing.assert_array_equal(g1.indices, g2.indices)
     np.testing.assert_array_equal(g1.distances, g2.distances)

@@ -10,6 +10,7 @@ from daodet.synthgen import (
     generate,
     random_rotation,
     sidecar_metadata,
+    suite_specs,
 )
 
 
@@ -147,6 +148,17 @@ def test_benchmark_suite_counts():
         benchmark_suite(0, [8])
     with pytest.raises(ValueError, match="dim_c2"):
         benchmark_suite(1, [40], template=small)
+
+
+def test_suite_specs_seed_schedule_is_replicate_major():
+    template = SynthSpec(cluster_size=40, dim_c1=4)
+    specs = suite_specs(2, [4, 8, 2], seed0=10, template=template)
+    assert [(s.dim_c2, s.seed) for s in specs] == [
+        (4, 10), (8, 11), (2, 12), (4, 13), (8, 14), (2, 15)
+    ]
+    assert {(s.cluster_size, s.dim_c1) for s in specs} == {(40, 4)}
+    with pytest.raises(ValueError, match="ambient"):
+        suite_specs(1, [33])
 
 
 def test_retry_cap_reports_seed():

@@ -159,9 +159,12 @@ def _run_one(
     _check_distinctness(ds)
     if ds.labels is None:
         return path_s, None
-    det_ks, _, kmax = config.grids(ds.n)
+    det_ks, lid_ks, kmax = config.grids(ds.n)
     if len(det_ks) < len(config.k_range):
         _warn(f"dataset {ds.name!r}: k range truncated to <= {ds.n - 1}")
+    # The default LID grid is documented to truncate; only a given one warns.
+    if config.lid_k_grid is not None and lid_ks[-1] < max(config.lid_k_grid):
+        _warn(f"dataset {ds.name!r}: LID grid truncated to <= {ds.n - 1}")
     graph = cached_neighbor_graph(ds, kmax, cache) if cache else None
     records = evaluate_dataset(ds, config, graph=graph)
     meta = read_sidecar(path) or {}

@@ -75,23 +75,23 @@ def roc_auc(scores: ScoreVector | np.ndarray, labels: np.ndarray) -> float:
     """Probability that a random outlier outscores a random inlier.
 
     Mann-Whitney U over all (outlier, inlier) pairs, normalized by the pair
-    count; tied scores contribute half credit. Computed with midranks; a NaN
-    score gives NaN.
+    count; tied scores contribute half credit. Each outlier is located among
+    the sorted inlier scores: it beats the inliers left of its equal run and
+    ties the run, so 2U is an exact integer count and the AUC equals the
+    midrank formula bit for bit. A NaN score gives NaN.
     """
     s = scores.scores if isinstance(scores, ScoreVector) else np.asarray(scores, dtype=float)
     y = np.asarray(labels)
     if s.shape != y.shape:
         raise ValueError("scores and labels must have equal length")
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    pos = s[y == 1]
+    neg = np.sort(s[y == 0])
+    if pos.size == 0 or neg.size == 0:
         raise ValueError("labels must contain both classes for ROC AUC")
-    order, edges, midranks = _midranks(s)
-    if np.isnan(s[order[-1]]):
+    if np.isnan(neg[-1]) or np.isnan(pos).any():  # NaN sorts last
         return float("nan")
-    pos_per_group = np.add.reduceat((y[order] == 1).astype(np.int64), edges[:-1])
-    u = (midranks * pos_per_group).sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    two_u = int(np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum())
+    return two_u / (2 * pos.size * neg.size)
 
 
 def dispersion_R(lids: LidProfile | np.ndarray) -> float:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .neighbors import NeighborGraph, _check_k
+from .neighbors import _BLOCK_BYTES, NeighborGraph, _check_k
 
 ID_FLOOR = 0.05
 
@@ -82,9 +82,15 @@ def estimate_mle(
     if id_cap is None:
         id_cap = default_id_cap(graph.n_features)
     d = graph.distances[:, :k]
+    mean_log = np.empty(graph.n)
+    # Row blocks keep the (rows, k) temporary under _BLOCK_BYTES; each row's
+    # mean still reduces the same k contiguous values.
+    rows = max(1, _BLOCK_BYTES // (8 * k))
     with np.errstate(divide="ignore"):
-        ratio = d / d[:, k - 1 : k]
-        mean_log = np.log(ratio, out=ratio).mean(axis=1)  # in place: one (n, k) temporary
+        for start in range(0, graph.n, rows):
+            block = d[start : start + rows]
+            ratio = block / block[:, k - 1 : k]
+            mean_log[start : start + rows] = np.log(ratio, out=ratio).mean(axis=1)
         raw = np.where(mean_log < 0.0, -1.0 / mean_log, np.inf)
     return _finish("mle", k, raw, id_floor, id_cap)
 

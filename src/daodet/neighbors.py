@@ -126,35 +126,41 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
     m, n = dist_rows.shape
     d = dist_rows.copy()
     d[np.arange(m), self_idx] = np.inf
+    # Select the k + 1 smallest so that column k shows whether the k-th
+    # smallest value continues past the boundary. With k = n - 1 that is
+    # every column.
     if k < n - 1:
-        part = np.argpartition(d, k - 1, axis=1)[:, :k]
+        part = np.argpartition(d, k, axis=1)[:, : k + 1]
     else:
         part = np.broadcast_to(np.arange(n), (m, n)).copy()
     pd = np.take_along_axis(d, part, axis=1)
-    kth = pd.max(axis=1)
-    # Rows where entries equal to the k-th distance straddle the partition
-    # boundary must be rebuilt so the smallest indices win.
-    n_eq_all = (d == kth[:, None]).sum(axis=1)
-    n_eq_sel = (pd == kth[:, None]).sum(axis=1)
-    for r in np.flatnonzero(n_eq_all > n_eq_sel):
-        below = np.flatnonzero(d[r] < kth[r])
-        ties = np.flatnonzero(d[r] == kth[r])[: k - below.size]
-        part[r] = np.concatenate([below, ties])
-    # With the selected columns in ascending index order, a stable sort by
-    # distance is the (distance, index) order. The default sort is faster
-    # and agrees with it wherever no two distances in a row are equal, so
-    # only rows holding an equal pair (or a NaN, which sorts last) are
-    # sorted again stably.
-    part.sort(axis=1)
-    pd = np.take_along_axis(d, part, axis=1)
     order = np.argsort(pd, axis=1)
-    sorted_pd = np.take_along_axis(pd, order, axis=1)
-    redo = (sorted_pd[:, 1:] == sorted_pd[:, :-1]).any(axis=1) | np.isnan(sorted_pd[:, -1])
-    redo = np.flatnonzero(redo)
-    if redo.size:
-        order[redo] = np.argsort(pd[redo], axis=1, kind="stable")
-        sorted_pd[redo] = np.take_along_axis(pd[redo], order[redo], axis=1)
-    return np.take_along_axis(part, order[:, :k], axis=1), sorted_pd[:, :k]
+    idx = np.take_along_axis(part, order, axis=1)
+    dist = np.take_along_axis(pd, order, axis=1)
+    # The default sort agrees with the (distance, index) order wherever no
+    # two distances in a row are equal. Rows holding an equal pair or a NaN
+    # (which sorts last) are sorted again by both keys.
+    redo = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1) | np.isnan(dist[:, -1]))
+    # Where the k-th and (k+1)-th smallest are equal (or NaN), equal entries
+    # left outside the selection may have smaller indices, so the selection
+    # is rebuilt from the whole row.
+    kth = dist[redo, k - 1]
+    straddle = (kth == dist[redo, k]) | np.isnan(kth)
+    for r, v in zip(redo[straddle], kth[straddle]):
+        row = d[r]
+        if np.isnan(v):  # every number sorts before NaN
+            tied = np.isnan(row)
+            below = np.flatnonzero(~tied)
+        else:
+            tied = row == v
+            below = np.flatnonzero(row < v)
+        idx[r] = np.concatenate([below, np.flatnonzero(tied)[: k + 1 - below.size]])
+    sub = idx[redo]
+    vals = d[redo[:, None], sub]
+    order = np.lexsort((sub, vals), axis=1)
+    idx[redo] = np.take_along_axis(sub, order, axis=1)
+    dist[redo] = np.take_along_axis(vals, order, axis=1)
+    return idx[:, :k], dist[:, :k]
 
 
 def _select_by_chunks(n: int, k: int, chunk_rows) -> tuple[np.ndarray, np.ndarray]:

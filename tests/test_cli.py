@@ -153,6 +153,25 @@ def test_run_truncates_oversized_k_with_warning(tmp_path, capsys):
     assert all(int(r["best_k"]) <= 59 for r in rows)
 
 
+def test_run_warns_on_truncated_lid_grid_only_when_given(tmp_path, capsys):
+    out_dir = tmp_path / "small"
+    assert run_cli(
+        "gen", "--reps", "1", "--dims", "4", "--seed", "3",
+        "--cluster-size", "30", "--out", str(out_dir),
+    ) == 0
+    out = tmp_path / "r.csv"
+    # n = 60: the given grid loses 100 and 200, the default grid loses 90 and up
+    assert run_cli(
+        "run", "--data", str(out_dir), "--k", "5,10", "--lid-grid", "5,100,200",
+        "--out", str(out),
+    ) == 0
+    err = capsys.readouterr().err
+    assert "LID grid truncated to <= 59" in err
+    assert "k range truncated" not in err
+    assert run_cli("run", "--data", str(out_dir), "--k", "5,10", "--out", str(out)) == 0
+    assert "truncated" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "grids", [["--k", "50..60", "--lid-grid", "5"], ["--k", "5", "--lid-grid", "50..60"]]
 )

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -96,6 +96,7 @@ def test_roc_auc_antisymmetry_and_monotone_invariance(seed):
     ),
     st.one_of(st.none(), st.integers(0, 79)),
 )
+@example([(-0.0, 1), (0.0, 0), (1.0, 0), (0.0, 1)], None)  # -0.0 ties 0.0
 def test_roc_auc_matches_rankdata_formula_bitwise(pairs, nan_at):
     s = np.array([v for v, _ in pairs])
     y = np.array([c for _, c in pairs])

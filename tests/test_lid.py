@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from daodet import lid
 from daodet.lid import (
     FeatureUnavailableError,
     estimate_mle,
@@ -37,6 +38,25 @@ def test_mle_tie_row_hits_cap():
     g = fake_graph([[1, 2], [0, 2], [0, 1]], [[3.0, 3.0]] * 3, n_features=5)
     prof = estimate_mle(g, 2)
     np.testing.assert_array_equal(prof.ids, 20.0)  # 4 * n_features
+
+
+@pytest.mark.parametrize("k", [2, 50, 60])
+def test_mle_row_blocks_equal_one_block(k, monkeypatch, rng):
+    n, kmax = 301, 60
+    dist = np.sort(rng.uniform(0.01, 1.0, (n, kmax)), axis=1)
+    dist[7] = 0.7  # fully tied: clamps to the cap
+    g = fake_graph(np.zeros((n, kmax), dtype=np.int64), dist, n_features=3)
+    d = dist[:, :k]
+    with np.errstate(divide="ignore"):
+        mean_log = np.log(d / d[:, k - 1 : k]).mean(axis=1)
+        raw = np.where(mean_log < 0.0, -1.0 / mean_log, np.inf)
+    ids = np.clip(np.where(np.isfinite(raw), raw, 12.0), lid.ID_FLOOR, 12.0)
+    # 7 rows per block, so blocks end on odd rows and the last one is short
+    monkeypatch.setattr(lid, "_BLOCK_BYTES", 8 * k * 7)
+    prof = estimate_mle(g, k)
+    assert prof.ids[7] == 12.0
+    assert prof.ids.tobytes() == ids.tobytes()
+    assert prof.log_ids.tobytes() == np.log(ids).tobytes()
 
 
 def test_mle_k_range_checked():

@@ -144,6 +144,10 @@ def test_select_knn_rows_matches_lexsort_and_keeps_input():
     dist[0] = 2.0  # one tie spans the whole row
     dist[1, ::2] = np.inf  # tied infinities
     dist[2] = np.arange(15.0)[::-1]  # strictly ordered, no tie
+    dist[3, 4:] = np.nan  # NaNs sort last, ties among them by index
+    dist[4, [1, 2, 9, 12]] = np.nan
+    dist[4, [0, 6]] = np.inf
+    dist[5, [0, 13]] = np.inf  # with self, three infinities tie at k = n - 1
     dist.flags.writeable = False
     before = dist.tobytes()
     self_idx = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14])
@@ -153,6 +157,33 @@ def test_select_knn_rows_matches_lexsort_and_keeps_input():
         np.testing.assert_array_equal(got_i, ref_i)
         assert got_d.tobytes() == ref_d.tobytes()
     assert dist.tobytes() == before
+
+
+def test_select_knn_rows_orders_nan_ties_by_index():
+    nan = np.nan
+    idx, dist = select_knn_rows(np.array([[1.0, nan, nan, nan]]), np.array([0]), 2)
+    np.testing.assert_array_equal(idx, [[0, 1]])
+    assert dist[0, 0] == np.inf and np.isnan(dist[0, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(2, 12)),
+        elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.5, np.inf, np.nan])
+        | st.floats(0.0, 4.0),
+    ),
+    st.data(),
+)
+def test_select_knn_rows_matches_lexsort_for_every_k(dist, data):
+    m, n = dist.shape
+    self_idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+    for k in range(1, n):
+        got_i, got_d = select_knn_rows(dist, self_idx, k)
+        ref_i, ref_d = _lexsort_select(dist, self_idx, k)
+        np.testing.assert_array_equal(got_i, ref_i)
+        assert got_d.tobytes() == ref_d.tobytes()
 
 
 def test_stored_distances_equal_distance_fn(rng):

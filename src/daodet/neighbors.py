@@ -23,6 +23,13 @@ _CHUNK_ROWS = 256
 # Cap on the (rows, n, d) difference temporary of one euclidean call.
 _BLOCK_BYTES = 4 << 20
 _TINY = np.finfo(np.float64).tiny
+# Selection keys: the sign bit, the +inf bit pattern, the one key every
+# NaN maps to (quiet-NaN bits with the sign set, above every number) and
+# the query's own key, above every other.
+_SIGN = np.uint64(1 << 63)
+_INF_BITS = np.uint64(0x7FF0000000000000)
+_NAN_KEY = np.uint64(0xFFF8000000000000)
+_SELF_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -98,21 +105,38 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist[()]  # a scalar again for one pair
 
 
-def _distance_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _distance_rows(
+    points: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Distances from points[rows] to all points, bitwise equal to one
     ``euclidean(points[rows][:, None, :], points[None, :, :])`` call.
 
     Each euclidean call covers a block of rows small enough that its
     (block, n, d) difference temporary stays under _BLOCK_BYTES; every pair
     is still reduced by the same einsum, so only the peak memory changes.
+    The rows are written into ``out`` (rows.size, n) when it is given.
     """
     n, dim = points.shape
-    out = np.empty((rows.size, n))
+    if out is None:
+        out = np.empty((rows.size, n))
     block = max(1, _BLOCK_BYTES // (8 * n * max(dim, 1)))
     for start in range(0, rows.size, block):
         stop = min(start + block, rows.size)
         out[start:stop] = euclidean(points[rows[start:stop]][:, None, :], points[None, :, :])
     return out
+
+
+def _order_keys(bits: np.ndarray) -> np.ndarray:
+    """Map float64 bit patterns (uint64, in place) to keys whose unsigned
+    order is the float order: -0.0 equals +0.0 and every NaN is one key
+    above +inf.
+    """
+    mag = bits & ~_SIGN
+    neg = (bits >= _SIGN) & (mag != 0)
+    np.bitwise_or(mag, _SIGN, out=bits)
+    np.invert(bits, out=bits, where=neg)
+    bits[mag > _INF_BITS] = _NAN_KEY
+    return bits
 
 
 def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
@@ -123,44 +147,67 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
     distances) of shape (m, k), rows sorted ascending, ties by index.
     dist_rows itself is left unmodified.
     """
-    m, n = dist_rows.shape
-    d = dist_rows.copy()
-    d[np.arange(m), self_idx] = np.inf
-    # Select the k + 1 smallest so that column k shows whether the k-th
-    # smallest value continues past the boundary. With k = n - 1 that is
-    # every column.
-    if k < n - 1:
-        part = np.argpartition(d, k, axis=1)[:, : k + 1]
+    src = np.asarray(dist_rows, dtype=np.float64)
+    m, n = src.shape
+    rows = np.arange(m)
+    # One uint64 key per entry: distance bits that order as the distances,
+    # with the low b bits replaced by the column, so keys are distinct and
+    # equal distances order by index. The bits are copied, never computed
+    # on. Without a sign bit or a NaN the raw bits already order.
+    b = max(1, (n - 1).bit_length())
+    mask = np.uint64((1 << b) - 1)
+    raw = src.view(np.uint64)
+    slow = bool(raw.max(initial=0) > _INF_BITS)  # a sign bit or a NaN
+    if slow:
+        keys = _order_keys(np.array(raw, order="C"))
+        keys &= ~mask
     else:
-        part = np.broadcast_to(np.arange(n), (m, n)).copy()
-    pd = np.take_along_axis(d, part, axis=1)
-    order = np.argsort(pd, axis=1)
-    idx = np.take_along_axis(part, order, axis=1)
-    dist = np.take_along_axis(pd, order, axis=1)
-    # The default sort agrees with the (distance, index) order wherever no
-    # two distances in a row are equal. Rows holding an equal pair or a NaN
-    # (which sorts last) are sorted again by both keys.
-    redo = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1) | np.isnan(dist[:, -1]))
-    # Where the k-th and (k+1)-th smallest are equal (or NaN), equal entries
-    # left outside the selection may have smaller indices, so the selection
-    # is rebuilt from the whole row.
-    kth = dist[redo, k - 1]
-    straddle = (kth == dist[redo, k]) | np.isnan(kth)
-    for r, v in zip(redo[straddle], kth[straddle]):
-        row = d[r]
-        if np.isnan(v):  # every number sorts before NaN
-            tied = np.isnan(row)
-            below = np.flatnonzero(~tied)
-        else:
-            tied = row == v
-            below = np.flatnonzero(row < v)
-        idx[r] = np.concatenate([below, np.flatnonzero(tied)[: k + 1 - below.size]])
-    sub = idx[redo]
-    vals = d[redo[:, None], sub]
-    order = np.lexsort((sub, vals), axis=1)
-    idx[redo] = np.take_along_axis(sub, order, axis=1)
-    dist[redo] = np.take_along_axis(vals, order, axis=1)
-    return idx[:, :k], dist[:, :k]
+        keys = np.bitwise_and(raw, ~mask, order="C")
+    keys |= np.arange(n, dtype=np.uint64)
+    keys[rows, self_idx] = _SELF_KEY
+    if k < n - 1:
+        keys.partition(k, axis=1)
+    sel = keys[:, : k + 1]
+    sel.sort(axis=1)
+    idx = (sel[:, :k] & mask).astype(np.int64)
+    flat = src.reshape(-1)  # a view unless src is not C-contiguous
+    offsets = (rows * n)[:, None]
+    dist = np.take(flat, idx + offsets)
+
+    def exact_keys(values):  # keys of gathered distances, without truncation
+        bits = values.view(np.uint64)
+        return _order_keys(bits.copy()) if slow else bits
+
+    def tied(block, limit, block_rows):
+        # Columns whose key is at most limit, grouped by row, with their
+        # exact keys and where each row's group starts.
+        inside = block <= limit[:, None]
+        counts = np.count_nonzero(inside, axis=1)
+        rr = np.repeat(np.arange(block.shape[0]), counts)
+        cols = (block[inside] & mask).astype(np.int64)
+        ex = exact_keys(np.take(flat, block_rows[rr] * n + cols))
+        return rr, cols, ex, np.cumsum(counts) - counts
+
+    # Distinct distances that agree above the low b bits share a truncated
+    # key and so fall back to index order. A row is wrong only where its
+    # exact distances decrease, or where the k-th and (k+1)-th share a
+    # truncated key and a column past the k-th is exactly smaller than it.
+    # Such rows are rebuilt from every column whose truncated key is at
+    # most the k-th's, by an exact (distance, index) lexsort.
+    kth = sel[:, k - 1] | mask
+    exact = exact_keys(dist)
+    bad = (exact[:, 1:] < exact[:, :-1]).any(axis=1)
+    wide = np.flatnonzero(sel[:, k] <= kth)
+    if wide.size:
+        _, _, ex, starts = tied(keys[wide, k:], kth[wide], wide)
+        bad[wide] |= np.minimum.reduceat(ex, starts) < exact[wide, k - 1]
+    redo = np.flatnonzero(bad)
+    if redo.size:
+        rr, cols, ex, starts = tied(keys[redo], kth[redo], redo)
+        order = np.lexsort((cols, ex, rr))
+        idx[redo] = cols[order[starts[:, None] + np.arange(k)]]
+        dist[redo] = np.take(flat, idx[redo] + offsets[redo])
+    return idx, dist
 
 
 def _select_by_chunks(n: int, k: int, chunk_rows) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +239,11 @@ def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph
     n = points.shape[0]
     if not 1 <= kmax <= n - 1:
         raise ValueError(f"kmax={kmax} out of range [1, {n - 1}]")
-    indices, distances = _select_by_chunks(n, kmax, lambda rows: _distance_rows(points, rows))
+    # One chunk buffer for the whole build, so no chunk faults in fresh pages.
+    buf = np.empty((min(_CHUNK_ROWS, n), n))
+    indices, distances = _select_by_chunks(
+        n, kmax, lambda rows: _distance_rows(points, rows, out=buf[: rows.size])
+    )
     if not np.isfinite(distances).all():
         raise ValueError(
             "non-finite distances in graph: a pairwise distance exceeds the float range"

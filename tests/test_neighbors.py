@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -130,14 +131,32 @@ def test_blocked_distance_rows_equal_single_call(monkeypatch):
 
 
 def _lexsort_select(dist_rows, self_idx, k):
-    """The (distance, index) order by one full two-key lexsort per row."""
-    d = dist_rows.copy()
-    d[np.arange(len(d)), self_idx] = np.inf
-    cols = np.broadcast_to(np.arange(d.shape[1]), d.shape)
+    """The (distance, index) order by one full two-key lexsort per row,
+    over every column but the query's own."""
+    m, n = dist_rows.shape
+    cols = np.broadcast_to(np.arange(n), (m, n))
+    keep = cols != np.asarray(self_idx)[:, None]
+    cols = cols[keep].reshape(m, n - 1)
+    d = np.asarray(dist_rows)[keep].reshape(m, n - 1)
     order = np.lexsort((cols, d), axis=1)[:, :k]
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(d, order, axis=1)
 
 
+def _assert_selects_like_lexsort(dist, self_idx, ks):
+    before = dist.tobytes(order="A")
+    for k in ks:
+        got_i, got_d = select_knn_rows(dist, self_idx, k)
+        ref_i, ref_d = _lexsort_select(dist, self_idx, k)
+        np.testing.assert_array_equal(got_i, ref_i)
+        assert got_d.tobytes() == ref_d.tobytes()
+    assert dist.tobytes(order="A") == before
+
+
+def _from_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.filterwarnings("error")
 def test_select_knn_rows_matches_lexsort_and_keeps_input():
     rng = np.random.default_rng(3)
     dist = rng.integers(1, 4, size=(12, 15)).astype(np.float64)
@@ -147,7 +166,7 @@ def test_select_knn_rows_matches_lexsort_and_keeps_input():
     dist[3, 4:] = np.nan  # NaNs sort last, ties among them by index
     dist[4, [1, 2, 9, 12]] = np.nan
     dist[4, [0, 6]] = np.inf
-    dist[5, [0, 13]] = np.inf  # with self, three infinities tie at k = n - 1
+    dist[5, [0, 13]] = np.inf  # two infinities tie at k = n - 1
     dist.flags.writeable = False
     before = dist.tobytes()
     self_idx = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14])
@@ -159,11 +178,41 @@ def test_select_knn_rows_matches_lexsort_and_keeps_input():
     assert dist.tobytes() == before
 
 
+@pytest.mark.filterwarnings("error")
 def test_select_knn_rows_orders_nan_ties_by_index():
     nan = np.nan
     idx, dist = select_knn_rows(np.array([[1.0, nan, nan, nan]]), np.array([0]), 2)
-    np.testing.assert_array_equal(idx, [[0, 1]])
-    assert dist[0, 0] == np.inf and np.isnan(dist[0, 1])
+    np.testing.assert_array_equal(idx, [[1, 2]])
+    assert np.isnan(dist).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_select_knn_rows_never_selects_self():
+    nan, inf = np.nan, np.inf
+    # A NaN or +inf elsewhere in the row still sorts before the query itself.
+    idx, dist = select_knn_rows(np.array([[nan, 5.0, nan]]), np.array([1]), 2)
+    np.testing.assert_array_equal(idx, [[0, 2]])
+    assert np.isnan(dist).all()
+    idx, dist = select_knn_rows(np.array([[0.0, 1.0, inf]]), np.array([0]), 2)
+    np.testing.assert_array_equal(idx, [[1, 2]])
+    np.testing.assert_array_equal(dist, [[1.0, inf]])
+
+
+# Bit patterns that stress the packed keys: signed NaNs with payloads,
+# signalling NaNs, subnormals of both signs, and signed zeros and infinities.
+_HOSTILE_BITS = [
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000001,
+    0x7FF4000000000000, 0x7FFFFFFFFFFFFFFF, 0x0000000000000001, 0x8000000000000001,
+    0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF, 0x8000000000000000, 0xFFF0000000000000,
+]
+
+
+def _near(value):
+    """value and the values one to three ulps further from zero, which
+    can share a truncated key."""
+    return st.integers(0, 3).map(
+        lambda j: float(_from_bits(np.float64(value).view(np.uint64) + np.uint64(j)))
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,18 +221,81 @@ def test_select_knn_rows_orders_nan_ties_by_index():
         np.float64,
         st.tuples(st.integers(1, 5), st.integers(2, 12)),
         elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.5, np.inf, np.nan])
-        | st.floats(0.0, 4.0),
+        | st.floats(0.0, 4.0)
+        | st.sampled_from(_HOSTILE_BITS).map(lambda u: float(_from_bits(u)))
+        | st.floats(-4.0, 4.0, allow_subnormal=True)
+        | _near(1.0)
+        | _near(-2.5)
+        | _near(3e-310),
     ),
     st.data(),
 )
 def test_select_knn_rows_matches_lexsort_for_every_k(dist, data):
     m, n = dist.shape
     self_idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
-    for k in range(1, n):
-        got_i, got_d = select_knn_rows(dist, self_idx, k)
-        ref_i, ref_d = _lexsort_select(dist, self_idx, k)
-        np.testing.assert_array_equal(got_i, ref_i)
-        assert got_d.tobytes() == ref_d.tobytes()
+    # Warnings are errors inside the body only: under the filterwarnings
+    # mark, Hypothesis's own failure report would raise one and abort the run.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(1, n):
+            got_i, got_d = select_knn_rows(dist, self_idx, k)
+            ref_i, ref_d = _lexsort_select(dist, self_idx, k)
+            np.testing.assert_array_equal(got_i, ref_i)
+            assert got_d.tobytes() == ref_d.tobytes()
+
+
+def _colliding_rows(n, k):
+    """Rows whose distinct distances share truncated keys, in an order the
+    index tie-break gets wrong (descending distance at ascending columns).
+    Column 0 is each row's own. Row 0's collision group straddles the k
+    boundary when k < 4, row 1's lies inside the first k and row 2 holds
+    only distances at most three ulps apart."""
+    one = np.float64(1.0).view(np.uint64)
+    group = _from_bits(one + np.arange(3, -1, -1, dtype=np.uint64))
+    rows = np.full((3, n), 2.0)
+    g = min(4, n - 1)
+    rows[0, np.linspace(1, n - 1, g).astype(int)] = group[-g:]
+    g = min(4, k)
+    rows[1, 1 : 1 + k - g] = 0.5
+    rows[1, n - g :] = group[-g:]
+    rng = np.random.default_rng(n)
+    rows[2] = _from_bits(one + rng.integers(0, 4, n).astype(np.uint64))
+    return rows
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 1024, 1025, 2049])
+def test_select_knn_rows_repairs_truncated_key_collisions(n):
+    for k in sorted({1, 2, 3, n // 2, n - 2, n - 1} & set(range(1, n))):
+        _assert_selects_like_lexsort(_colliding_rows(n, k), np.zeros(3, dtype=int), [k])
+    if n >= 1024:
+        # The straddling group's two smallest distances sit in its two last
+        # columns, which the index tie-break alone would leave out.
+        group_cols = np.linspace(1, n - 1, 4).astype(int)
+        idx, dist = select_knn_rows(_colliding_rows(n, 2), np.zeros(3, dtype=int), 2)
+        assert idx[0].tolist() == [n - 1, group_cols[2]]
+        assert dist[0, 0] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("layout", ["fortran", "strided", "read_only"])
+def test_select_knn_rows_layouts_are_read_not_written(layout):
+    rng = np.random.default_rng(11)
+    base = rng.integers(0, 5, size=(6, 40)).astype(np.float64)
+    base[1, 3:9] = np.nan
+    base[2, 5] = -0.0
+    base[3] = _from_bits(np.float64(1.0).view(np.uint64) + rng.integers(0, 4, 40, np.uint64))
+    if layout == "fortran":
+        dist = np.asfortranarray(base)
+    elif layout == "strided":
+        wide = np.zeros((12, 80))
+        wide[::2, ::2] = base
+        dist = wide[::2, ::2]
+    else:
+        dist = base.copy()
+        dist.flags.writeable = False
+    assert dist.flags.c_contiguous == (layout == "read_only")
+    _assert_selects_like_lexsort(dist, np.array([0, 5, 39, 1, 20, 7]), range(1, 40))
 
 
 def test_stored_distances_equal_distance_fn(rng):

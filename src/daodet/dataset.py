@@ -8,10 +8,14 @@ keeping the first occurrence.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -98,26 +102,36 @@ def _looks_like_header(row: list[str]) -> bool:
     return False
 
 
-def load_csv(
-    path: str | Path,
-    label_column: str | int | None = None,
-    *,
-    outlier_token: str = "1",
-    inlier_token: str = "0",
-    name: str | None = None,
-) -> Dataset:
-    """Read a comma-separated file into a Dataset.
+def _label_index(
+    label_column: str | int | None, header: list[str] | None, width: int, path: Path
+) -> int | None:
+    """The 0-based label column, or None when the file is unlabeled.
 
-    The first row is treated as a header iff it contains any non-numeric
-    cell. ``label_column`` selects the label column by header name or
-    0-based index; its cells must match ``outlier_token``/``inlier_token``.
-    Duplicate coordinate rows (equal by value, so 0.0 matches -0.0) are
-    dropped, first occurrence (and its label) wins; the count is recorded
-    on ``Dataset.dropped_duplicates``.
+    ``width`` is the cell count of the file's first row. An index beyond a
+    row is reported per row by the parsers; a negative one is rejected here.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"no such file: {path}")
+    if label_column is None:
+        return None
+    if isinstance(label_column, int):
+        if label_column < 0:
+            raise DatasetError(
+                f"label column {label_column} is out of range [0, {width}) in {path}"
+            )
+        return label_column
+    if header is None or label_column not in header:
+        raise DatasetError(f"label column {label_column!r} not found in {path}")
+    return header.index(label_column)
+
+
+def _read_cells(
+    path: Path, label_column: str | int | None, outlier_token: str, inlier_token: str
+) -> tuple[np.ndarray, list[int] | None]:
+    """Parse ``path`` cell by cell: the reference parser and the error reporter.
+
+    Every malformed input raises the DatasetError naming its first bad row
+    and column; ``_read_fast`` falls back here for anything it cannot
+    decide exactly.
+    """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -126,16 +140,9 @@ def load_csv(
     header: list[str] | None = None
     if _looks_like_header(rows[0]):
         header = [cell.strip() for cell in rows[0]]
+    label_idx = _label_index(label_column, header, len(rows[0]), path)
+    if header is not None:
         rows = rows[1:]
-
-    label_idx: int | None = None
-    if label_column is not None:
-        if isinstance(label_column, int):
-            label_idx = label_column
-        else:
-            if header is None or label_column not in header:
-                raise DatasetError(f"label column {label_column!r} not found in {path}")
-            label_idx = header.index(label_column)
 
     points, labels = [], []
     for r, row in enumerate(rows):
@@ -158,7 +165,83 @@ def load_csv(
     widths = {len(p) for p in points}
     if len(widths) != 1:
         raise DatasetError(f"ragged rows in {path}: widths {sorted(widths)}")
-    pts = np.array(points, dtype=np.float64)
+    return np.array(points, dtype=np.float64), labels if label_idx is not None else None
+
+
+def _read_fast(
+    path: Path, label_column: str | int | None, outlier_token: str, inlier_token: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parse ``path`` with one ``np.loadtxt`` call.
+
+    Returns what ``_read_cells`` returns for the same file, bit for bit, or
+    raises ValueError. numpy's float syntax is a subset of Python's
+    (``1_0``, non-ASCII digits and quoted cells fail), and a non-finite
+    value, a quote, an over-long line (``csv`` would reject the field) or
+    an empty body also raise, so the caller can fall back to the cell
+    parser for its result or its error.
+    """
+    with open(path) as fh:  # universal newlines: "\r\n" and "\r" read as "\n"
+        text = fh.read()
+    limit = csv.field_size_limit()
+    if '"' in text or (len(text) > limit and max(map(len, text.split("\n"))) > limit):
+        raise ValueError("needs the csv module's quoting and field limit")
+    start = len(text) - len(text.lstrip("\n"))
+    stop = text.find("\n", start)
+    stop = len(text) if stop < 0 else stop
+    first = next(csv.reader([text[start:stop]]), [])
+    header = [cell.strip() for cell in first] if _looks_like_header(first) else None
+    label_idx = _label_index(label_column, header, len(first), path)
+    body = text[stop + 1 :] if header is not None else text[start:]
+    if not body.strip("\n"):
+        raise ValueError("no data rows")
+
+    def label_value(cell: str) -> float:
+        token = cell.strip()
+        if token == outlier_token:
+            return 1.0
+        if token == inlier_token:
+            return 0.0
+        raise ValueError(f"label token {token!r}")
+
+    table = np.loadtxt(
+        io.StringIO(body),
+        delimiter=",",
+        comments=None,
+        ndmin=2,
+        converters=None if label_idx is None else {label_idx: label_value},
+    )
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite value")
+    if label_idx is None:
+        return table, None
+    return np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64)
+
+
+def load_csv(
+    path: str | Path,
+    label_column: str | int | None = None,
+    *,
+    outlier_token: str = "1",
+    inlier_token: str = "0",
+    name: str | None = None,
+) -> Dataset:
+    """Read a comma-separated file into a Dataset.
+
+    Cells use Python ``float`` syntax; there are no comment lines. The
+    first row is treated as a header iff it contains any non-numeric cell.
+    ``label_column`` selects the label column by header name or 0-based
+    index (in range for every row); its cells must match
+    ``outlier_token``/``inlier_token``. Duplicate coordinate rows (equal by
+    value, so 0.0 matches -0.0) are dropped, first occurrence (and its
+    label) wins; the count is recorded on ``Dataset.dropped_duplicates``.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DatasetError(f"no such file: {path}")
+    try:
+        pts, labels = _read_fast(path, label_column, outlier_token, inlier_token)
+    except ValueError:
+        pts, labels = _read_cells(path, label_column, outlier_token, inlier_token)
 
     # Dedup by value, the rule Dataset checks (so 0.0 equals -0.0); the
     # first occurrence wins and row order is kept.
@@ -167,13 +250,46 @@ def load_csv(
     pts = pts[keep]
     if pts.shape[0] < 2:
         raise DatasetError(f"fewer than 2 distinct points remain after dedup in {path}")
-    lab = np.array(labels, dtype=np.int64)[keep] if label_idx is not None else None
+    lab = np.asarray(labels, dtype=np.int64)[keep] if labels is not None else None
     return Dataset(
         points=pts,
         labels=lab,
         name=name if name is not None else path.stem,
         dropped_duplicates=dropped,
     )
+
+
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[Path]:
+    """Yield a sibling temp path that replaces ``path`` when the block ends.
+
+    If the block raises, the temp file is removed and ``path`` is left as
+    it was, so readers, including other processes, see either the old file
+    or the complete new one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV file in one ``write``, as ``csv.writer`` would write it.
+
+    ``rows`` hold Python floats and ints (not numpy scalars, whose ``repr``
+    differs); each cell is its ``repr``, which ``csv.writer`` also uses and
+    which never needs quoting. Lines end in ``"\r\n"``, the default
+    dialect's terminator.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in rows]
+    lines.append("")
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines))
 
 
 def write_csv(dataset: Dataset, path: str | Path, sidecar: dict | None = None) -> Path:
@@ -185,16 +301,12 @@ def write_csv(dataset: Dataset, path: str | Path, sidecar: dict | None = None) -
     """
     path = Path(path)
     cols = [f"x{j}" for j in range(dataset.dim)]
+    rows = dataset.points.tolist()
     if dataset.labels is not None:
         cols.append("label")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.points[i]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+        for row, label in zip(rows, dataset.labels.tolist()):
+            row.append(label)
+    _write_rows(path, cols, rows)
     meta = {"name": dataset.name, "seed": dataset.seed}
     if sidecar:
         meta.update(sidecar)

@@ -7,12 +7,12 @@ the neighbor, and reduces to SLOF exactly when every LID equals 1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import _write_rows
 from .lid import LidProfile
 from .neighbors import NeighborGraph, _check_k, kdist_column
 
@@ -121,8 +121,5 @@ SCORERS = {"knn": score_knn, "lof": score_lof, "slof": score_slof}
 
 
 def write_scores_csv(sv: ScoreVector, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_index", "score"])
-        for i in range(sv.n):
-            writer.writerow([i, repr(float(sv.scores[i]))])
+    scores = np.asarray(sv.scores, dtype=np.float64).tolist()
+    _write_rows(path, ["point_index", "score"], zip(range(sv.n), scores))

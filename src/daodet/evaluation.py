@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _replacing
 from .detectors import DETECTORS, SCORERS, ScoreVector, dao_kernel, dao_log_ratios, score_dao
 from .lid import K_GRID, LidProfile, check_estimator, estimate_profile
 from .neighbors import NeighborGraph, _distance_rows, build_neighbor_graph, select_knn_all
@@ -479,7 +479,8 @@ def _fmt(value) -> str:
 
 
 def write_records_csv(records: Sequence[EvalRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    """Write ``records`` to ``path`` atomically (see ``dataset._replacing``)."""
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
         for rec in records:

@@ -9,12 +9,12 @@ neighborhoods clamp to the cap.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import _write_rows
 from .neighbors import _BLOCK_BYTES, NeighborGraph, _check_k
 
 ID_FLOOR = 0.05
@@ -156,8 +156,6 @@ def estimate_profile(estimator: str, graph: NeighborGraph, k: int, **kwargs) -> 
 
 
 def write_profile_csv(profile: LidProfile, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_index", "id", "log_id"])
-        for i in range(profile.n):
-            writer.writerow([i, repr(float(profile.ids[i])), repr(float(profile.log_ids[i]))])
+    ids = np.asarray(profile.ids, dtype=np.float64).tolist()
+    log_ids = np.asarray(profile.log_ids, dtype=np.float64).tolist()
+    _write_rows(path, ["point_index", "id", "log_id"], zip(range(profile.n), ids, log_ids))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _replacing
 
 _CHUNK_ROWS = 256
 # Cap on the (rows, n, d) difference temporary of one euclidean call.
@@ -277,17 +277,10 @@ def save_graph(graph: NeighborGraph, path: str | Path) -> None:
     readers, including other processes sharing the cache directory, see
     either no entry or a complete one.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(struct.pack("<II", graph.n, graph.kmax))
-            fh.write(np.ascontiguousarray(graph.indices, dtype="<u4"))
-            fh.write(np.ascontiguousarray(graph.distances, dtype="<f8"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(struct.pack("<II", graph.n, graph.kmax))
+        fh.write(np.ascontiguousarray(graph.indices, dtype="<u4"))
+        fh.write(np.ascontiguousarray(graph.distances, dtype="<f8"))
 
 
 def load_graph(

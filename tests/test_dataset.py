@@ -1,8 +1,12 @@
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from daodet import dataset
 from daodet.dataset import (
     Dataset,
     DatasetError,
@@ -88,6 +92,16 @@ def test_label_column_by_index_without_header(tmp_path):
     assert ds.points.shape == (3, 2)
 
 
+def test_label_index_must_be_in_range(tmp_path):
+    path = write_lines(tmp_path / "d.csv", ["1.0,2.0,0", "3.0,4.0,1", "5.0,6.0,0"])
+    # A negative index used to pass through Python slicing and keep the
+    # label (and every other cell) as features: [1, 2, 0, 1, 2].
+    with pytest.raises(DatasetError, match=r"label column -1 is out of range \[0, 3\)"):
+        load_csv(path, label_column=-1)
+    with pytest.raises(DatasetError, match="row 0 too short for label column 3"):
+        load_csv(path, label_column=3)
+
+
 def test_custom_label_tokens(tmp_path):
     path = write_lines(tmp_path / "d.csv", ["a,b,label", "1,2,anom", "3,4,ok"])
     ds = load_csv(path, label_column="label", outlier_token="anom", inlier_token="ok")
@@ -163,3 +177,177 @@ def test_ingestion_idempotent(tmp_path_factory, rows):
     ds2 = load_csv(tmp / "b.csv")
     np.testing.assert_array_equal(ds1.points, ds2.points)
     assert ds2.dropped_duplicates == 0
+
+
+def _outcome(load, path, **kwargs):
+    """What a load returns, bit for bit, or the error it raises."""
+    try:
+        ds = load(path, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - any exception must match
+        return ("error", type(exc), str(exc))
+    labels = None if ds.labels is None else ds.labels.tolist()
+    return ("ok", ds.points.shape, ds.points.tobytes(), labels, ds.dropped_duplicates)
+
+
+def _load_cell_by_cell(path, **kwargs):
+    with mock.patch.object(dataset, "_read_fast", side_effect=ValueError("off")):
+        return load_csv(path, **kwargs)
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 3).map(str),
+    # correctly rounded decimal strings, not only shortest reprs
+    st.from_regex(r"[+-]?[0-9]{1,20}(\.[0-9]{0,25})?([eE][+-]?[0-9]{1,2})?", fullmatch=True),
+)
+_HOSTILE = st.sampled_from([
+    "nan", "-inf", "inf", "Infinity", "-infinity", "NaN", "1e400", "-1e400", "1e-400",
+    "1_0", " 2 ", "\t3\t", "+1e5", "\u0661", "\uff15", "01", "+1", "1.0", "-0.0", ".5", "5.",
+    '"1"', '"1,2"', '""', '"3\n4"', "", " ", "a", "label", "x0", "1e", "0x10", "\ufeff1",
+    "\x0c4", "\xa05", "5\x1c", "\x0b6", "7\x1f", "\u30008", "9\u2029", "\u200b1", "1\x00",
+    "\u2028", "\x85", "1.5d3", "1..5", "+-1", "e5", "infi", "yes", "no", "o", "i",
+])
+_PLAIN_TOKENS = [("1", "0"), ("o", "i"), ("yes", "no"), ("x", "x"), ("1.0", "0"), ("\u0661", "0")]
+_ODD_TOKENS = [(" 1", "0"), ('"a"', "b"), ("a,b", "c"), ("", "0")]
+
+
+@st.composite
+def _csv_files(draw):
+    """(file text, load_csv kwargs, whether the fast path must take it)."""
+    width = draw(st.integers(1, 4))
+    labeled = draw(st.booleans())
+    label_pos = draw(st.integers(0, width)) if labeled else None
+    tokens = draw(st.sampled_from(_PLAIN_TOKENS + _ODD_TOKENS)) if labeled else ("1", "0")
+    n_rows = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(n_rows):
+        row = draw(st.lists(_FINITE, min_size=width, max_size=width))
+        if labeled:
+            row.insert(label_pos, draw(st.sampled_from(tokens)))
+        rows.append(row)
+    names = [f"x{j}" for j in range(width)]
+    if labeled:
+        names.insert(label_pos, "label")
+    header = draw(st.sampled_from(["none", "names", "padded"]))
+    if header != "none":
+        rows.insert(0, [f" {c} " for c in names] if header == "padded" else names)
+
+    # At most a few hostile edits: a cell, a row's length, blank lines.
+    edits = draw(st.lists(st.sampled_from(["cell", "ragged", "blank", "spaces", "comma"]),
+                          max_size=3))
+    for edit in edits:
+        if not rows:
+            break
+        r = draw(st.integers(0, len(rows) - 1))
+        if edit == "cell" and rows[r]:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(_HOSTILE)
+        elif edit == "ragged":
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + [draw(_FINITE)]
+        elif edit == "comma":
+            rows[r] = rows[r] + [""]
+        else:
+            rows.insert(r, [] if edit == "blank" else [" \t"])
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    lines = [",".join(row) for row in rows]
+    text = "".join(
+        line + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends)
+        for line in lines
+    )
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    bom = draw(st.booleans())
+    if bom:
+        text = "\ufeff" + text
+
+    choices = [None, -1, width + 1, "missing"]
+    if labeled:
+        choices += [label_pos, label_pos, "label"]
+    label_column = draw(st.sampled_from(choices))
+    fast = (
+        # a first row holding a non-numeric label token is read as a header
+        not edits and not bom and n_rows > (header == "none") and tokens in _PLAIN_TOKENS
+        and (label_column == label_pos or (label_column is None and not labeled)
+             or (label_column == "label" and header != "none"))
+    )
+    return text, label_column, tokens, fast
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_files())
+def test_fast_loader_matches_cell_parser(tmp_path_factory, case):
+    text, label_column, (outlier, inlier), fast = case
+    path = tmp_path_factory.mktemp("codec") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    kwargs = dict(label_column=label_column, outlier_token=outlier, inlier_token=inlier)
+    assert _outcome(load_csv, path, **kwargs) == _outcome(_load_cell_by_cell, path, **kwargs)
+    if fast:
+        # A clean file must not need the fallback, or the fast path is dead code.
+        pts, labels = dataset._read_fast(path, label_column, outlier, inlier)
+        ref_pts, ref_labels = dataset._read_cells(path, label_column, outlier, inlier)
+        assert (pts.shape, pts.tobytes()) == (ref_pts.shape, ref_pts.tobytes())
+        assert (None if labels is None else labels.tolist()) == ref_labels
+
+
+def _csv_writer_bytes(path, header, rows):
+    """The bytes the csv module writes: the reference for every CSV writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+_AWKWARD = np.array([
+    -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-05,
+    9.999999999999999e-05, 0.0001, 0.00010000000000000002, 1e15, 9999999999999998.0,
+    1e16, 1.0000000000000002e16, 123456789012345678.0, 1.7976931348623157e308,
+    -1e-300, 0.1, 1 / 3, -2.5,
+])
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_write_csv_bytes_match_csv_writer(tmp_path, labeled, dim):
+    pts = _AWKWARD[: _AWKWARD.size // dim * dim].reshape(-1, dim)
+    keep = np.sort(np.unique(pts, axis=0, return_index=True)[1])  # 0.0 equals -0.0
+    pts = pts[keep]
+    labels = (np.arange(len(pts)) % 4 == 1).astype(np.int64) if labeled else None
+    ds = Dataset(points=pts, labels=labels)
+    write_csv(ds, tmp_path / "new.csv")
+    header = [f"x{j}" for j in range(dim)] + (["label"] if labeled else [])
+    rows = [
+        [repr(float(v)) for v in ds.points[i]] + ([str(int(ds.labels[i]))] if labeled else [])
+        for i in range(ds.n)
+    ]
+    assert (tmp_path / "new.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", header, rows)
+    back = load_csv(tmp_path / "new.csv", label_column="label" if labeled else None)
+    assert back.points.tobytes() == ds.points.tobytes()
+
+
+def test_profile_and_score_writers_match_csv_writer(tmp_path):
+    from daodet.detectors import ScoreVector, write_scores_csv
+    from daodet.lid import LidProfile, write_profile_csv
+
+    values = np.abs(_AWKWARD[_AWKWARD != 0])
+    prof = LidProfile(estimator="mle", k_used=5, ids=values, log_ids=np.log(values))
+    write_profile_csv(prof, tmp_path / "lid.csv")
+    rows = [[i, repr(float(a)), repr(float(b))] for i, (a, b) in enumerate(zip(values, np.log(values)))]
+    ref = _csv_writer_bytes(tmp_path / "ref.csv", ["point_index", "id", "log_id"], rows)
+    assert (tmp_path / "lid.csv").read_bytes() == ref
+
+    for scores in (_AWKWARD, np.array([np.inf, np.nan, -np.inf]), np.arange(3, dtype=np.float32)):
+        write_scores_csv(ScoreVector(detector="knn", k=5, scores=scores), tmp_path / "s.csv")
+        rows = [[i, repr(float(v))] for i, v in enumerate(scores)]
+        ref = _csv_writer_bytes(tmp_path / "ref.csv", ["point_index", "score"], rows)
+        assert (tmp_path / "s.csv").read_bytes() == ref
+
+
+def test_written_file_loads_without_the_cell_parser(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    ds = Dataset(points=rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4)),
+                 labels=np.arange(50) % 7 == 0)
+    write_csv(ds, tmp_path / "d.csv")
+    monkeypatch.setattr(dataset, "_read_cells", mock.Mock(side_effect=AssertionError("slow path")))
+    back = load_csv(tmp_path / "d.csv", label_column="label")
+    assert back.points.tobytes() == ds.points.tobytes()
+    np.testing.assert_array_equal(back.labels, ds.labels)

@@ -446,6 +446,22 @@ def test_records_csv_roundtrip(tmp_path, small_ds):
         read_records_csv(bad)
 
 
+def test_records_csv_write_is_atomic(tmp_path, small_ds):
+    records = evaluate_dataset(small_ds, SweepConfig(k_range=[5, 10], lid_k_grid=[5, 10]))
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    before = path.read_bytes()
+
+    def failing_midway():
+        yield from records[:2]
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_records_csv(failing_midway(), path)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_time_detector_smoke(small_ds):
     mean_s, std_s = time_detector(small_ds, "slof", k_range=[5, 10, 15])
     assert mean_s > 0 and std_s >= 0

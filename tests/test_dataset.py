@@ -52,6 +52,10 @@ def test_nan_cell_rejected(tmp_path):
     path = write_lines(tmp_path / "d.csv", ["1,2", "3,NaN"])
     with pytest.raises(DatasetError, match=r"non-finite value at row 1, column 1"):
         load_csv(path)
+    # the row counts the file's rows, before duplicates are dropped
+    path = write_lines(tmp_path / "d.csv", ["1,2", "1,2", "3,inf"])
+    with pytest.raises(DatasetError, match=r"non-finite value at row 2, column 1"):
+        load_csv(path)
 
 
 def test_non_numeric_cell_rejected(tmp_path):
@@ -183,7 +187,7 @@ def _outcome(load, path, **kwargs):
     """What a load returns, bit for bit, or the error it raises."""
     try:
         ds = load(path, **kwargs)
-    except Exception as exc:  # noqa: BLE001 - any exception must match
+    except Exception as exc:  # any exception must match, csv.Error included
         return ("error", type(exc), str(exc))
     labels = None if ds.labels is None else ds.labels.tolist()
     return ("ok", ds.points.shape, ds.points.tobytes(), labels, ds.dropped_duplicates)
@@ -212,18 +216,36 @@ _ODD_TOKENS = [(" 1", "0"), ('"a"', "b"), ("a,b", "c"), ("", "0")]
 
 
 @st.composite
-def _csv_files(draw):
-    """(file text, load_csv kwargs, whether the fast path must take it)."""
-    width = draw(st.integers(1, 4))
-    labeled = draw(st.booleans())
+def _csv_files(draw, hostile):
+    """(file text, label_column, (outlier, inlier) tokens).
+
+    With ``hostile=False`` every row parses and the label column is valid,
+    so the fast path must take the file. ``hostile=True`` adds a BOM, odd
+    label tokens, bad label columns and up to three edits: a bad cell, a
+    row's length, a blank or whitespace-only line, a trailing comma.
+    """
+    width = draw(st.integers(0, 4))  # 0 with a label: a label-only file
+    labeled = draw(st.booleans()) or (width == 0 and not hostile)
     label_pos = draw(st.integers(0, width)) if labeled else None
-    tokens = draw(st.sampled_from(_PLAIN_TOKENS + _ODD_TOKENS)) if labeled else ("1", "0")
-    n_rows = draw(st.integers(0, 6))
+    tokens = ("1", "0")
+    if labeled:
+        tokens = draw(st.sampled_from(_PLAIN_TOKENS + (_ODD_TOKENS if hostile else [])))
+    pad = st.sampled_from(["", " ", "\t", "\xa0 "])  # whitespace both parsers strip
+
+    def padded(cell):
+        return draw(pad) + cell + draw(pad)
+
+    # Without a header row, the first row still reads as one when it holds
+    # a non-numeric label token, so a clean file has at least two rows.
+    n_rows = draw(st.integers(0 if hostile else 2, 6))
     rows = []
     for _ in range(n_rows):
-        row = draw(st.lists(_FINITE, min_size=width, max_size=width))
+        if rows and draw(st.integers(0, 3)) == 0:
+            rows.append(list(draw(st.sampled_from(rows))))  # a duplicate, dropped at load
+            continue
+        row = [padded(cell) for cell in draw(st.lists(_FINITE, min_size=width, max_size=width))]
         if labeled:
-            row.insert(label_pos, draw(st.sampled_from(tokens)))
+            row.insert(label_pos, padded(draw(st.sampled_from(tokens))))
         rows.append(row)
     names = [f"x{j}" for j in range(width)]
     if labeled:
@@ -232,10 +254,8 @@ def _csv_files(draw):
     if header != "none":
         rows.insert(0, [f" {c} " for c in names] if header == "padded" else names)
 
-    # At most a few hostile edits: a cell, a row's length, blank lines.
-    edits = draw(st.lists(st.sampled_from(["cell", "ragged", "blank", "spaces", "comma"]),
-                          max_size=3))
-    for edit in edits:
+    edits = ["cell", "ragged", "blank", "spaces", "comma"]
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=3)) if hostile else []:
         if not rows:
             break
         r = draw(st.integers(0, len(rows) - 1))
@@ -248,44 +268,53 @@ def _csv_files(draw):
         else:
             rows.insert(r, [] if edit == "blank" else [" \t"])
     ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
-    lines = [",".join(row) for row in rows]
     text = "".join(
-        line + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends)
-        for line in lines
+        ",".join(row) + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends)
+        for row in rows
     )
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
-    bom = draw(st.booleans())
-    if bom:
+    if hostile and draw(st.booleans()):
         text = "\ufeff" + text
 
-    choices = [None, -1, width + 1, "missing"]
-    if labeled:
-        choices += [label_pos, label_pos, "label"]
-    label_column = draw(st.sampled_from(choices))
-    fast = (
-        # a first row holding a non-numeric label token is read as a header
-        not edits and not bom and n_rows > (header == "none") and tokens in _PLAIN_TOKENS
-        and (label_column == label_pos or (label_column is None and not labeled)
-             or (label_column == "label" and header != "none"))
-    )
-    return text, label_column, tokens, fast
+    choices = [label_pos] if labeled else [None]
+    if labeled and header != "none":
+        choices.append("label")
+    if hostile:
+        choices += [None, -1, width + 1, "missing"]
+    return text, draw(st.sampled_from(choices)), tokens
+
+
+def _write_case(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("codec") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
 
 
 @settings(max_examples=400, deadline=None)
-@given(_csv_files())
+@given(_csv_files(hostile=True))
 def test_fast_loader_matches_cell_parser(tmp_path_factory, case):
-    text, label_column, (outlier, inlier), fast = case
-    path = tmp_path_factory.mktemp("codec") / "d.csv"
-    path.write_bytes(text.encode("utf-8"))
+    text, label_column, (outlier, inlier) = case
+    path = _write_case(tmp_path_factory, text)
     kwargs = dict(label_column=label_column, outlier_token=outlier, inlier_token=inlier)
     assert _outcome(load_csv, path, **kwargs) == _outcome(_load_cell_by_cell, path, **kwargs)
-    if fast:
-        # A clean file must not need the fallback, or the fast path is dead code.
-        pts, labels = dataset._read_fast(path, label_column, outlier, inlier)
-        ref_pts, ref_labels = dataset._read_cells(path, label_column, outlier, inlier)
-        assert (pts.shape, pts.tobytes()) == (ref_pts.shape, ref_pts.tobytes())
-        assert (None if labels is None else labels.tolist()) == ref_labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_files(hostile=False))
+def test_clean_files_take_the_fast_path(tmp_path_factory, case):
+    text, label_column, (outlier, inlier) = case
+    path = _write_case(tmp_path_factory, text)
+    pts, labels = dataset._read_fast(path, label_column, outlier, inlier)  # must not fall back
+    ref_pts, ref_labels = dataset._read_cells(path, label_column, outlier, inlier)
+    assert (pts.shape, pts.tobytes()) == (ref_pts.shape, ref_pts.tobytes())
+    assert (None if labels is None else labels.tolist()) == ref_labels
+
+
+def test_overlong_field_raises_like_the_csv_module(tmp_path):
+    path = write_lines(tmp_path / "d.csv", ["1,2", "0." + "0" * csv.field_size_limit() + ",3"])
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        load_csv(path)
 
 
 def _csv_writer_bytes(path, header, rows):
@@ -328,14 +357,14 @@ def test_profile_and_score_writers_match_csv_writer(tmp_path):
     from daodet.detectors import ScoreVector, write_scores_csv
     from daodet.lid import LidProfile, write_profile_csv
 
-    values = np.abs(_AWKWARD[_AWKWARD != 0])
-    prof = LidProfile(estimator="mle", k_used=5, ids=values, log_ids=np.log(values))
-    write_profile_csv(prof, tmp_path / "lid.csv")
-    rows = [[i, repr(float(a)), repr(float(b))] for i, (a, b) in enumerate(zip(values, np.log(values)))]
-    ref = _csv_writer_bytes(tmp_path / "ref.csv", ["point_index", "id", "log_id"], rows)
-    assert (tmp_path / "lid.csv").read_bytes() == ref
+    for ids in (np.abs(_AWKWARD[_AWKWARD != 0]), np.arange(1, 4)):
+        prof = LidProfile(estimator="mle", k_used=5, ids=ids, log_ids=np.log(ids))
+        write_profile_csv(prof, tmp_path / "lid.csv")
+        rows = [[i, repr(float(a)), repr(float(b))] for i, (a, b) in enumerate(zip(ids, np.log(ids)))]
+        ref = _csv_writer_bytes(tmp_path / "ref.csv", ["point_index", "id", "log_id"], rows)
+        assert (tmp_path / "lid.csv").read_bytes() == ref
 
-    for scores in (_AWKWARD, np.array([np.inf, np.nan, -np.inf]), np.arange(3, dtype=np.float32)):
+    for scores in (_AWKWARD, np.array([np.inf, np.nan, -np.inf]), np.arange(3), np.float32([0.1])):
         write_scores_csv(ScoreVector(detector="knn", k=5, scores=scores), tmp_path / "s.csv")
         rows = [[i, repr(float(v))] for i, v in enumerate(scores)]
         ref = _csv_writer_bytes(tmp_path / "ref.csv", ["point_index", "score"], rows)

@@ -12,7 +12,6 @@ from .evaluation import (
     EvalRecord,
     RegressionResult,
     SweepConfig,
-    best_k_sweep,
     dispersion_R,
     evaluate_dataset,
     friedman_nemenyi,
@@ -42,7 +41,6 @@ __all__ = [
     "SweepConfig",
     "SynthSpec",
     "benchmark_suite",
-    "best_k_sweep",
     "build_neighbor_graph",
     "chi2_quantile",
     "dispersion_R",

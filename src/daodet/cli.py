@@ -174,9 +174,7 @@ def _run_one(
     if timing:
         # One call per dataset, so the detectors share a distance matrix and
         # their runs interleave.
-        times = evaluation.time_detectors(
-            ds, config.detectors, config.k_range, config.lid_estimator, config.lid_k_grid
-        )
+        times = evaluation.time_detectors(ds, config)
         for i, rec in enumerate(records):
             mean_s, std_s = times[rec.detector]
             records[i] = replace(rec, runtime_mean_s=mean_s, runtime_std_s=std_s)
@@ -244,6 +242,13 @@ def cmd_run(args, config_file: dict[str, str]) -> int:
 # report
 # ---------------------------------------------------------------------------
 
+def _write_table(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _pivot(records: list[EvalRecord]):
     datasets = sorted({r.dataset for r in records})
     detectors = sorted({r.detector for r in records})
@@ -276,10 +281,9 @@ def _report_fig1(records, out: Path) -> None:
             rows.append([dim, det, repr(mean), repr(std), len(aucs)])
             series[det][0].append(mean)
             series[det][1].append(std)
-    with open(out / "fig1.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dim_c2", "detector", "mean_auc", "std_auc", "n_datasets"])
-        writer.writerows(rows)
+    _write_table(
+        out / "fig1.csv", ["dim_c2", "detector", "mean_auc", "std_auc", "n_datasets"], rows
+    )
     plots.write_svg(
         out / "fig1.svg",
         plots.line_plot_svg(dims, series, "intrinsic dimension of cluster 2", "ROC AUC"),
@@ -307,12 +311,11 @@ def _auc_diff_rows(records):
 def _report_fig2(records, out: Path) -> None:
     rows, baselines = _auc_diff_rows(records)
     pairs = [f"dao:{b}" for b in baselines] + ["dao:oracle"]
-    with open(out / "fig2.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "morans_I", "dispersion_R", "pair", "auc_diff"])
-        for ds, mi, disp, diffs in rows:
-            for pair in pairs:
-                writer.writerow([ds, repr(mi), repr(disp), pair, repr(diffs[pair])])
+    table = [[ds, repr(mi), repr(disp), pair, repr(diffs[pair])]
+             for ds, mi, disp, diffs in rows for pair in pairs]
+    _write_table(
+        out / "fig2.csv", ["dataset", "morans_I", "dispersion_R", "pair", "auc_diff"], table
+    )
     for pair in pairs:
         svg = plots.scatter_plot_svg(
             [r[1] for r in rows],
@@ -323,14 +326,6 @@ def _report_fig2(records, out: Path) -> None:
             title=f"AUC difference, {pair}",
         )
         plots.write_svg(out / f"fig2_{pair.replace(':', '_')}.svg", svg)
-
-
-def _write_regression_csv(path: Path, results: dict[str, evaluation.RegressionResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair", "m", "p", "rho"])
-        for pair, res in results.items():
-            writer.writerow([pair, repr(res.slope), repr(res.p_value), repr(res.pearson_rho)])
 
 
 def _report_tables(records, out: Path) -> None:
@@ -351,7 +346,9 @@ def _report_tables(records, out: Path) -> None:
         for pair in pairs:
             ys = [r[3][pair] for r in rows]
             results[pair] = ols_regression(np.array(xs), np.array(ys))
-        _write_regression_csv(out / f"tables_{name}.csv", results)
+        table = [[pair, repr(res.slope), repr(res.p_value), repr(res.pearson_rho)]
+                 for pair, res in results.items()]
+        _write_table(out / f"tables_{name}.csv", ["pair", "m", "p", "rho"], table)
         lines.append(f"regression of AUC difference on {name}:")
         for pair, res in results.items():
             lines.append(
@@ -365,11 +362,8 @@ def _report_ranks(records, out: Path, alpha: float) -> None:
     datasets, detectors, cell = _pivot(records)
     table = np.array([[cell[(ds, det)].roc_auc for det in detectors] for ds in datasets])
     avg_ranks, cd = friedman_nemenyi(table, alpha=alpha)
-    with open(out / "ranks.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["detector", "avg_rank"])
-        for det, rank in zip(detectors, avg_ranks):
-            writer.writerow([det, repr(float(rank))])
+    table = [[det, repr(float(rank))] for det, rank in zip(detectors, avg_ranks)]
+    _write_table(out / "ranks.csv", ["detector", "avg_rank"], table)
     lines = [
         f"average ranks over {len(datasets)} datasets (1 = best):",
         *(

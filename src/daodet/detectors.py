@@ -42,13 +42,11 @@ class ScoreVector:
 
 def score_knn(graph: NeighborGraph, k: int) -> ScoreVector:
     """Score each point by the distance to its k-th nearest neighbor."""
-    _check_k(graph, k)
     return ScoreVector("knn", k, kdist_column(graph, k).copy())
 
 
 def score_slof(graph: NeighborGraph, k: int) -> ScoreVector:
     """Simplified LOF: mean over neighbors o of kdist(q) / kdist(o)."""
-    _check_k(graph, k)
     kd = kdist_column(graph, k)
     nb = graph.indices[:, :k]
     scores = (kd[:, None] / kd[nb]).mean(axis=1)
@@ -62,7 +60,6 @@ def score_lof(graph: NeighborGraph, k: int) -> ScoreVector:
     reachability over NN_k(p); the score is the mean lrd ratio of the
     neighbors to the query.
     """
-    _check_k(graph, k)
     kd = kdist_column(graph, k)
     nb, nd = graph.neighborhoods(k)
     reach = np.maximum(kd[nb], nd)
@@ -79,7 +76,6 @@ def dao_log_ratios(graph: NeighborGraph, k: int) -> tuple[np.ndarray, np.ndarray
     magnitude. A sweep builds these once per k and shares them across
     every LID profile.
     """
-    _check_k(graph, k)
     lkd = np.log(kdist_column(graph, k))
     nb = np.ascontiguousarray(graph.indices[:, :k])
     log_ratio = lkd[:, None] - np.take(lkd, nb)

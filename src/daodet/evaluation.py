@@ -109,39 +109,21 @@ def dispersion_R(lids: LidProfile | np.ndarray) -> float:
     return 2.0 * total / (n * (n - 1))
 
 
-def morans_I(
-    values: np.ndarray, graph: NeighborGraph, k: int, weights: str = "row-normalized"
-) -> float:
+def morans_I(values: np.ndarray, graph: NeighborGraph, k: int) -> float:
     """Global Moran's I over kNN neighborhoods, (n/W) sum w_ij z_i z_j / sum z_i^2.
 
-    'row-normalized' weights (w_ij = 1/k for j among i's k nearest
-    neighbors, so W = n) are the default and keep I softly bounded. The
-    weight scheme is a convention, not part of the statistic; 'symmetric'
-    (w_ij = 1 on the symmetrized kNN adjacency) is kept for comparison.
+    Weights are row-normalized (w_ij = 1/k for j among i's k nearest
+    neighbors, so W = n), which keeps I softly bounded.
     """
     x = np.asarray(values, dtype=float)
     if x.shape[0] != graph.n:
         raise ValueError("values length must match the graph")
-    n = graph.n
     z = x - x.mean()
     denom = float((z**2).sum())
     if denom == 0.0:
         raise ValueError("Moran's I undefined: values have zero variance")
     nb, _ = graph.neighborhoods(k)
-    if weights == "row-normalized":
-        num = float((z * z[nb].mean(axis=1)).sum())
-        w_total = float(n)
-    elif weights == "symmetric":
-        src = np.repeat(np.arange(n), k)
-        dst = nb.ravel()
-        edges = np.unique(
-            np.concatenate([src * n + dst, dst * n + src])
-        )
-        num = float((z[edges // n] * z[edges % n]).sum())
-        w_total = float(edges.size)
-    else:
-        raise ValueError(f"unknown weight scheme {weights!r}")
-    return (n / w_total) * num / denom
+    return float((z * z[nb].mean(axis=1)).sum()) / denom
 
 
 def morans_I_maxmag(
@@ -251,22 +233,31 @@ def _truncate_k_range(k_range: Iterable[int], n: int) -> list[int]:
     return kept
 
 
-def _dao_sweep(graph, labels, det_ks, profiles):
-    """Max-AUC DAO configuration over detector k x LID grid k.
+def _best_config(graph, labels, detector, det_ks, profiles):
+    """Max-AUC (auc, k, lid_k) of one detector; lid_k is None for a baseline.
 
-    Iteration order is ascending in both, so a strict comparison keeps the
-    smallest detector k (then smallest LID k) on AUC ties. The neighbor
-    block and log-ratio matrix are built once per detector k and shared by
-    every LID profile; each profile runs on its own (n, k) temporaries.
+    Candidates come in ascending detector k, then ascending LID k, and a
+    strict comparison keeps the earlier one, so AUC ties and NaN keep the
+    smallest k. DAO builds its neighbor block and log-ratio matrix once per
+    detector k and shares them across every LID profile.
     """
     best = None
-    lid_ks = sorted(profiles)
-    for k in det_ks:
-        ratios = dao_log_ratios(graph, k)
-        for lid_k in lid_ks:
-            auc = roc_auc(dao_kernel(profiles[lid_k].ids, *ratios), labels)
-            if best is None or auc > best[0]:
-                best = (auc, k, lid_k)
+
+    def consider(scores, k, lid_k):
+        nonlocal best
+        auc = roc_auc(scores, labels)
+        if best is None or auc > best[0]:
+            best = (auc, k, lid_k)
+
+    if detector == "dao":
+        for k in det_ks:
+            ratios = dao_log_ratios(graph, k)
+            for lid_k in sorted(profiles):
+                consider(dao_kernel(profiles[lid_k].ids, *ratios), k, lid_k)
+    else:
+        scorer = SCORERS[detector]  # looked up per call: tracers wrap the entries
+        for k in det_ks:
+            consider(scorer(graph, k), k, None)
     return best
 
 
@@ -324,11 +315,12 @@ def evaluate_dataset(
 
     profiles = {lk: estimate_profile(config.lid_estimator, graph, lk) for lk in lid_ks}
 
-    dao_best = None
+    # DAO first: its best LID profile feeds the dispersion and Moran's I columns.
+    best = {}
     if "dao" in config.detectors:
-        dao_best = _dao_sweep(graph, dataset.labels, det_ks, profiles)
+        best["dao"] = _best_config(graph, dataset.labels, "dao", det_ks, profiles)
 
-    ref_profile = profiles[dao_best[2]] if dao_best is not None else profiles[lid_ks[-1]]
+    ref_profile = profiles[best["dao"][2]] if best else profiles[lid_ks[-1]]
     disp = dispersion_R(ref_profile)
     try:
         mi, mk = morans_I_maxmag(ref_profile.log_ids, graph, det_ks)
@@ -337,19 +329,14 @@ def evaluate_dataset(
 
     records = []
     for det in config.detectors:
-        if det == "dao":
-            auc, best_k, best_lid_k = dao_best
-            est: str | None = config.lid_estimator
-        else:
-            scorer = SCORERS[det]
-            aucs = [(roc_auc(scorer(graph, k), dataset.labels), k) for k in det_ks]
-            auc, best_k = max(aucs, key=lambda t: (t[0], -t[1]))
-            best_lid_k, est = None, None
+        if det not in best:
+            best[det] = _best_config(graph, dataset.labels, det, det_ks, profiles)
+        auc, best_k, best_lid_k = best[det]
         records.append(
             EvalRecord(
                 dataset=dataset.name,
                 detector=det,
-                lid_estimator=est,
+                lid_estimator=None if best_lid_k is None else config.lid_estimator,
                 best_k=best_k,
                 roc_auc=auc,
                 dispersion_R=disp,
@@ -359,24 +346,6 @@ def evaluate_dataset(
             )
         )
     return records
-
-
-def best_k_sweep(
-    dataset: Dataset,
-    detector: str,
-    k_range: Sequence[int] = DEFAULT_K_RANGE,
-    lid_estimator: str = "mle",
-    lid_k_grid: Sequence[int] | None = None,
-    graph: NeighborGraph | None = None,
-) -> EvalRecord:
-    """Single-detector convenience wrapper around evaluate_dataset."""
-    config = SweepConfig(
-        detectors=(detector,),
-        k_range=k_range,
-        lid_estimator=lid_estimator,
-        lid_k_grid=lid_k_grid,
-    )
-    return evaluate_dataset(dataset, config, graph=graph)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +375,7 @@ def _detector_runs(detector, det_ks, lid_ks, lid_estimator):
 
 
 def time_detectors(
-    dataset: Dataset,
-    detectors: Sequence[str],
-    k_range: Sequence[int] = DEFAULT_K_RANGE,
-    lid_estimator: str = "mle",
-    lid_k_grid: Sequence[int] | None = None,
+    dataset: Dataset, config: SweepConfig = SweepConfig()
 ) -> dict[str, tuple[float, float]]:
     """Mean and standard deviation of per-run wall-clock seconds per detector.
 
@@ -420,7 +385,6 @@ def time_detectors(
     detectors are interleaved round-robin after an untimed warmup so that
     machine-state drift cannot bias one detector's mean against another's.
     """
-    config = SweepConfig(tuple(detectors), k_range, lid_estimator, lid_k_grid)
     det_ks, lid_ks, _ = config.grids(dataset.n)
     dists = _distance_rows(dataset.points, np.arange(dataset.n))
 
@@ -434,7 +398,8 @@ def time_detectors(
         return time.perf_counter() - t0
 
     per_detector = {
-        det: _detector_runs(det, det_ks, lid_ks, lid_estimator) for det in config.detectors
+        det: _detector_runs(det, det_ks, lid_ks, config.lid_estimator)
+        for det in config.detectors
     }
     for runs in per_detector.values():
         for k_sets, score in runs[:2] * 2:  # untimed warmup round
@@ -448,15 +413,9 @@ def time_detectors(
     return {det: (float(np.mean(ts)), float(np.std(ts))) for det, ts in times.items()}
 
 
-def time_detector(
-    dataset: Dataset,
-    detector: str,
-    k_range: Sequence[int] = DEFAULT_K_RANGE,
-    lid_estimator: str = "mle",
-    lid_k_grid: Sequence[int] | None = None,
-) -> tuple[float, float]:
-    """Single-detector wrapper around time_detectors."""
-    return time_detectors(dataset, [detector], k_range, lid_estimator, lid_k_grid)[detector]
+def time_detector(dataset: Dataset, detector: str, **plan) -> tuple[float, float]:
+    """time_detectors for one detector; ``plan`` holds the other SweepConfig fields."""
+    return time_detectors(dataset, SweepConfig((detector,), **plan))[detector]
 
 
 # ---------------------------------------------------------------------------

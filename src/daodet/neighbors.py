@@ -233,9 +233,13 @@ def select_knn_all(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _select_by_chunks(dists.shape[0], k, lambda rows: dists[rows[0] : rows[-1] + 1])
 
 
+def _points(data: Dataset | np.ndarray) -> np.ndarray:
+    return data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
+
+
 def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph:
     """Exact kNN graph for all points, by brute force over row chunks."""
-    points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
+    points = _points(data)
     n = points.shape[0]
     if not 1 <= kmax <= n - 1:
         raise ValueError(f"kmax={kmax} out of range [1, {n - 1}]")
@@ -262,9 +266,8 @@ def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph
 # ---------------------------------------------------------------------------
 
 def graph_cache_key(data: Dataset | np.ndarray, kmax: int) -> str:
-    points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(points).tobytes())
+    h.update(np.ascontiguousarray(_points(data)).tobytes())
     # The metric suffix is kept so existing cache file names stay valid.
     h.update(f"|kmax={kmax}|metric=euclidean".encode())
     return h.hexdigest()
@@ -330,13 +333,13 @@ def cached_neighbor_graph(
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
+    points = _points(data)
     path = cache_dir / f"{graph_cache_key(points, kmax)}.knn"
     if path.exists():
         try:
             return load_graph(path, n_features=points.shape[1], n=points.shape[0], kmax=kmax)
         except ValueError as exc:
             warnings.warn(f"rebuilding graph cache entry: {exc}", stacklevel=2)
-    graph = build_neighbor_graph(data, kmax)
+    graph = build_neighbor_graph(points, kmax)
     save_graph(graph, path)
     return graph

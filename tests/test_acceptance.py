@@ -14,6 +14,7 @@ import pytest
 from daodet.cli import main as cli_main
 from daodet.detectors import score_dao, score_lof, score_slof
 from daodet.evaluation import (
+    SweepConfig,
     dispersion_R,
     morans_I,
     read_records_csv,
@@ -243,7 +244,7 @@ def test_criterion_9_runtime_shape():
     ds, _ = generate(SynthSpec(dim_c2=16, seed=9))
     assert ds.n == 1600 and ds.dim == 32
     ks = list(range(5, 101, 5))
-    timed = time_detectors(ds, ["knn", "slof", "lof", "dao"], ks)
+    timed = time_detectors(ds, SweepConfig(("knn", "slof", "lof", "dao"), ks))
     means = {det: mean_s for det, (mean_s, _) in timed.items()}
     base = [means["knn"], means["slof"], means["lof"]]
     ratio_base = max(base) / min(base)

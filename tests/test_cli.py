@@ -211,9 +211,9 @@ def test_run_timing_calls_time_detectors_once_per_dataset(synth_dir, tmp_path, m
 
     calls = []
 
-    def spy(dataset, detectors, k_range, lid_estimator, lid_k_grid):
-        calls.append((dataset.name, list(detectors)))
-        return {det: (float(i + 1), 0.5) for i, det in enumerate(detectors)}
+    def spy(dataset, config):
+        calls.append((dataset.name, list(config.detectors)))
+        return {det: (float(i + 1), 0.5) for i, det in enumerate(config.detectors)}
 
     monkeypatch.setattr(evaluation, "time_detectors", spy)
     out = tmp_path / "timed.csv"

@@ -8,7 +8,6 @@ from daodet.evaluation import (
     IncompleteGridError,
     SweepConfig,
     _midranks,
-    best_k_sweep,
     dispersion_R,
     evaluate_dataset,
     friedman_nemenyi,
@@ -19,6 +18,7 @@ from daodet.evaluation import (
     read_records_csv,
     roc_auc,
     time_detector,
+    time_detectors,
     write_records_csv,
 )
 from daodet.dataset import Dataset
@@ -184,24 +184,6 @@ def test_morans_maxmag_matches_exhaustive(rng):
     assert morans_I_maxmag(values, g, ks) == expected
 
 
-def test_morans_symmetric_scheme():
-    g = lattice_graph()
-    rng = np.random.default_rng(9)
-    values = np.sin(np.arange(60) / 4.0) + rng.standard_normal(60) * 0.1
-    # brute force over the symmetrized adjacency
-    n, k = 60, 3
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in g.indices[i, :k]:
-            w[i, j] = 1.0
-            w[j, i] = 1.0
-    z = values - values.mean()
-    expected = (n / w.sum()) * (z @ w @ z) / (z @ z)
-    assert morans_I(values, g, k, weights="symmetric") == pytest.approx(expected, abs=1e-12)
-    with pytest.raises(ValueError, match="weight scheme"):
-        morans_I(values, g, k, weights="queen")
-
-
 def test_morans_maxmag_single_k_and_tie_rule():
     g = lattice_graph()
     values = np.linspace(0, 1, 60)
@@ -350,7 +332,8 @@ def test_best_k_sweep_argmax_and_tie(monkeypatch, small_ds):
         return profile[scores.k]
 
     monkeypatch.setattr(ev, "roc_auc", fake_auc)
-    rec = ev.best_k_sweep(small_ds, "knn", k_range=[5, 10, 20], lid_k_grid=[5])
+    config = SweepConfig(("knn",), k_range=[5, 10, 20], lid_k_grid=[5])
+    (rec,) = ev.evaluate_dataset(small_ds, config)
     assert rec.best_k == 10 and rec.roc_auc == 0.9
 
 
@@ -365,7 +348,7 @@ def test_dao_sweep_is_argmax_of_every_pair(monkeypatch, small_ds):
     pairs = [(k, lk) for k in det_ks for lk in profiles]
     aucs = {(k, lk): roc_auc(score_dao(g, k, profiles[lk]), small_ds.labels) for k, lk in pairs}
     auc, k, lk = max((aucs[p], -p[0], -p[1]) for p in pairs)
-    assert ev._dao_sweep(g, small_ds.labels, det_ks, profiles) == (auc, -k, -lk)
+    assert ev._best_config(g, small_ds.labels, "dao", det_ks, profiles) == (auc, -k, -lk)
 
     # scripted ties: the smallest detector k wins, then the smallest LID k
     script = {(5, 20): 0.8, (10, 20): 0.9, (10, 10): 0.9, (15, 5): 0.9}
@@ -375,15 +358,15 @@ def test_dao_sweep_is_argmax_of_every_pair(monkeypatch, small_ds):
     }
     assert len(by_scores) == len(pairs)
     monkeypatch.setattr(ev, "roc_auc", lambda scores, labels: by_scores[scores.tobytes()])
-    assert ev._dao_sweep(g, small_ds.labels, det_ks, profiles) == (0.9, 10, 10)
+    assert ev._best_config(g, small_ds.labels, "dao", det_ks, profiles) == (0.9, 10, 10)
 
 
 def test_best_k_sweep_unlabeled_and_k_range(small_ds):
     unlabeled = Dataset(points=small_ds.points, name="nolab")
     with pytest.raises(ValueError, match="labels"):
-        best_k_sweep(unlabeled, "knn", k_range=[5])
+        evaluate_dataset(unlabeled, SweepConfig(("knn",), k_range=[5]))
     with pytest.raises(ValueError, match="no usable k"):
-        best_k_sweep(small_ds, "knn", k_range=[small_ds.n])
+        evaluate_dataset(small_ds, SweepConfig(("knn",), k_range=[small_ds.n]))
 
 
 def test_sweep_config_checks_names():
@@ -472,10 +455,9 @@ def test_time_detector_smoke(small_ds):
 
 
 def test_timed_scores_deterministic(small_ds):
-    # timing never perturbs scoring: same detector twice gives identical scores
-    from daodet.detectors import score_slof
-
-    g = build_neighbor_graph(small_ds, 15)
-    s1 = score_slof(g, 10).scores
-    s2 = score_slof(g, 10).scores
-    np.testing.assert_array_equal(s1, s2)
+    # timing never perturbs scoring: the records are the same after a timing pass
+    config = SweepConfig(k_range=[5, 10], lid_k_grid=[5, 10])
+    before = evaluate_dataset(small_ds, config)
+    timed = time_detectors(small_ds, config)
+    assert list(timed) == list(config.detectors)
+    assert evaluate_dataset(small_ds, config) == before

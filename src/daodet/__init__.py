@@ -22,9 +22,9 @@ from .evaluation import (
     time_detector,
     time_detectors,
 )
-from .lid import LidProfile, estimate_mle, estimate_tle, estimate_twonn, estimator_k_grid
-from .neighbors import NeighborGraph, build_neighbor_graph, kdist
-from .synthgen import GenReport, SynthSpec, benchmark_suite, chi2_quantile, generate
+from .lid import LidProfile, estimate_mle, estimate_twonn
+from .neighbors import NeighborGraph, build_neighbor_graph
+from .synthgen import GenReport, SynthSpec, chi2_quantile, generate
 
 __version__ = "0.1.0"
 
@@ -40,19 +40,15 @@ __all__ = [
     "ScoreVector",
     "SweepConfig",
     "SynthSpec",
-    "benchmark_suite",
     "build_neighbor_graph",
     "chi2_quantile",
     "dispersion_R",
     "estimate_mle",
-    "estimate_tle",
     "estimate_twonn",
-    "estimator_k_grid",
     "evaluate_dataset",
     "feature_distinctness",
     "friedman_nemenyi",
     "generate",
-    "kdist",
     "load_csv",
     "morans_I",
     "morans_I_maxmag",

@@ -12,7 +12,6 @@ flags win. Worker count comes from ``--threads`` or DAODET_THREADS.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,10 +25,12 @@ from .dataset import (
     DISTINCTNESS_WARN_THRESHOLD,
     Dataset,
     DatasetError,
+    MissingLabelColumn,
     feature_distinctness,
     load_csv,
     read_sidecar,
     write_csv,
+    write_table,
 )
 from .detectors import DETECTORS
 from .evaluation import (
@@ -143,10 +144,11 @@ def _collect_data_paths(specs: list[str]) -> list[Path]:
 
 
 def _load_for_run(path: Path, label_column: str) -> Dataset:
-    with open(path, newline="") as fh:
-        first = next(csv.reader(fh), None)
-    has_label = first is not None and label_column in [c.strip() for c in first]
-    return load_csv(path, label_column=label_column if has_label else None)
+    """Load with ``label_column`` when the header names it, else unlabeled."""
+    try:
+        return load_csv(path, label_column)
+    except MissingLabelColumn:
+        return load_csv(path)
 
 
 def _run_one(
@@ -209,7 +211,11 @@ def cmd_run(args, config_file: dict[str, str]) -> int:
         raise UsageError("run needs --out for the records CSV")
     label_column = setting("label_column", "label")
     cache = setting("cache", None)
-    threads = int(setting("threads", os.environ.get(THREADS_ENV, "1")))
+    threads_s = setting("threads", os.environ.get(THREADS_ENV, "1"))
+    try:
+        threads = int(threads_s)
+    except ValueError:
+        raise UsageError(f"threads must be an integer, got {threads_s!r}") from None
     timing = bool(args.timing or config_file.get("timing", "").lower() in ("1", "true", "yes"))
 
     paths = _collect_data_paths(list(data))
@@ -242,13 +248,6 @@ def cmd_run(args, config_file: dict[str, str]) -> int:
 # report
 # ---------------------------------------------------------------------------
 
-def _write_table(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _pivot(records: list[EvalRecord]):
     datasets = sorted({r.dataset for r in records})
     detectors = sorted({r.detector for r in records})
@@ -278,10 +277,10 @@ def _report_fig1(records, out: Path) -> None:
         for det in detectors:
             aucs = [r.roc_auc for r in records if r.detector == det and r.dim_c2 == dim]
             mean, std = float(np.mean(aucs)), float(np.std(aucs))
-            rows.append([dim, det, repr(mean), repr(std), len(aucs)])
+            rows.append([dim, det, mean, std, len(aucs)])
             series[det][0].append(mean)
             series[det][1].append(std)
-    _write_table(
+    write_table(
         out / "fig1.csv", ["dim_c2", "detector", "mean_auc", "std_auc", "n_datasets"], rows
     )
     plots.write_svg(
@@ -311,9 +310,8 @@ def _auc_diff_rows(records):
 def _report_fig2(records, out: Path) -> None:
     rows, baselines = _auc_diff_rows(records)
     pairs = [f"dao:{b}" for b in baselines] + ["dao:oracle"]
-    table = [[ds, repr(mi), repr(disp), pair, repr(diffs[pair])]
-             for ds, mi, disp, diffs in rows for pair in pairs]
-    _write_table(
+    table = [[ds, mi, disp, pair, diffs[pair]] for ds, mi, disp, diffs in rows for pair in pairs]
+    write_table(
         out / "fig2.csv", ["dataset", "morans_I", "dispersion_R", "pair", "auc_diff"], table
     )
     for pair in pairs:
@@ -346,9 +344,8 @@ def _report_tables(records, out: Path) -> None:
         for pair in pairs:
             ys = [r[3][pair] for r in rows]
             results[pair] = ols_regression(np.array(xs), np.array(ys))
-        table = [[pair, repr(res.slope), repr(res.p_value), repr(res.pearson_rho)]
-                 for pair, res in results.items()]
-        _write_table(out / f"tables_{name}.csv", ["pair", "m", "p", "rho"], table)
+        table = [[pair, res.slope, res.p_value, res.pearson_rho] for pair, res in results.items()]
+        write_table(out / f"tables_{name}.csv", ["pair", "m", "p", "rho"], table)
         lines.append(f"regression of AUC difference on {name}:")
         for pair, res in results.items():
             lines.append(
@@ -362,8 +359,8 @@ def _report_ranks(records, out: Path, alpha: float) -> None:
     datasets, detectors, cell = _pivot(records)
     table = np.array([[cell[(ds, det)].roc_auc for det in detectors] for ds in datasets])
     avg_ranks, cd = friedman_nemenyi(table, alpha=alpha)
-    table = [[det, repr(float(rank))] for det, rank in zip(detectors, avg_ranks)]
-    _write_table(out / "ranks.csv", ["detector", "avg_rank"], table)
+    table = [[det, float(rank)] for det, rank in zip(detectors, avg_ranks)]
+    write_table(out / "ranks.csv", ["detector", "avg_rank"], table)
     lines = [
         f"average ranks over {len(datasets)} datasets (1 = best):",
         *(
@@ -391,8 +388,6 @@ def cmd_report(args) -> int:
             _report_tables(records, out)
         elif analysis == "ranks":
             _report_ranks(records, out, args.alpha)
-        else:
-            raise UsageError(f"unknown analysis {analysis!r}")
     print(f"report artifacts written to {out}")
     return 0
 
@@ -492,9 +487,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_report(args)
         if args.command == "lid":
             return cmd_lid(args)
-        if args.command == "knn-cache":
-            return cmd_knn_cache(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_knn_cache(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -28,6 +28,10 @@ class DatasetError(ValueError):
     """Raised for malformed or degenerate input data."""
 
 
+class MissingLabelColumn(DatasetError):
+    """No header cell names the label column, or the file has no header."""
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable labeled point cloud.
@@ -119,7 +123,7 @@ def _label_index(
             )
         return label_column
     if header is None or label_column not in header:
-        raise DatasetError(f"label column {label_column!r} not found in {path}")
+        raise MissingLabelColumn(f"label column {label_column!r} not found in {path}")
     return header.index(label_column)
 
 
@@ -290,6 +294,17 @@ def _write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -
     lines.append("")
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
+
+
+def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV table with ``csv.writer`` atomically (see ``_replacing``).
+
+    ``None`` cells are written empty and floats as their ``repr``.
+    """
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_csv(dataset: Dataset, path: str | Path, sidecar: dict | None = None) -> Path:

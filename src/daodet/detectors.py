@@ -8,11 +8,8 @@ the neighbor, and reduces to SLOF exactly when every LID equals 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
-from .dataset import _write_rows
 from .lid import LidProfile
 from .neighbors import NeighborGraph, _check_k, kdist_column
 
@@ -115,7 +112,3 @@ def score_dao(graph: NeighborGraph, k: int, lids: LidProfile) -> ScoreVector:
 
 SCORERS = {"knn": score_knn, "lof": score_lof, "slof": score_slof}
 
-
-def write_scores_csv(sv: ScoreVector, path: str | Path) -> None:
-    scores = np.asarray(sv.scores, dtype=np.float64).tolist()
-    _write_rows(path, ["point_index", "score"], zip(range(sv.n), scores))

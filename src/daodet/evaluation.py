@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, _replacing
+from .dataset import Dataset, write_table
 from .detectors import DETECTORS, SCORERS, ScoreVector, dao_kernel, dao_log_ratios, score_dao
 from .lid import K_GRID, LidProfile, check_estimator, estimate_profile
 from .neighbors import NeighborGraph, _distance_rows, build_neighbor_graph, select_knn_all
@@ -429,21 +429,10 @@ _CSV_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_records_csv(records: Sequence[EvalRecord], path: str | Path) -> None:
-    """Write ``records`` to ``path`` atomically (see ``dataset._replacing``)."""
-    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, col)) for col in _CSV_COLUMNS])
+    """Write ``records`` to ``path`` atomically (see ``dataset.write_table``)."""
+    rows = ([getattr(rec, col) for col in _CSV_COLUMNS] for rec in records)
+    write_table(path, _CSV_COLUMNS, rows)
 
 
 def read_records_csv(path: str | Path) -> list[EvalRecord]:

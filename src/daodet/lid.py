@@ -2,9 +2,9 @@
 
 Two estimators are built in: the Hill-type maximum-likelihood estimator
 over k-NN distances (mle) and the two-nearest-neighbor point estimate
-(twonn). Estimates are clamped into [id_floor, id_cap] so downstream
-exponentiation never sees a non-finite or zero value; degenerate tied
-neighborhoods clamp to the cap.
+(twonn). Estimates are clamped into [ID_FLOOR, 4 * n_features] so
+downstream exponentiation never sees a non-finite or zero value;
+degenerate tied neighborhoods clamp to the cap.
 """
 
 from __future__ import annotations
@@ -27,16 +27,13 @@ class FeatureUnavailableError(NotImplementedError):
     """An optional, feature-gated estimator that is not built."""
 
 
-_TLE_UNAVAILABLE = "the tle estimator is not built; use 'mle' or 'twonn'"
-
-
 @dataclass(frozen=True)
 class LidProfile:
     """Per-point LID estimates from one estimator at one neighborhood size."""
 
     estimator: str
     k_used: int
-    ids: np.ndarray       # (n,) finite positives within [id_floor, id_cap]
+    ids: np.ndarray       # (n,) finite positives within [ID_FLOOR, 4 * n_features]
     log_ids: np.ndarray   # natural logs of ids
 
     def __post_init__(self):
@@ -48,23 +45,13 @@ class LidProfile:
         return self.ids.shape[0]
 
 
-def default_id_cap(n_features: int) -> float:
-    """Cap estimates at 4x the embedding dimension."""
-    return 4.0 * n_features
-
-
-def _finish(estimator: str, k_used: int, raw: np.ndarray, id_floor: float, id_cap: float) -> LidProfile:
-    ids = np.clip(np.where(np.isfinite(raw), raw, id_cap), id_floor, id_cap)
+def _finish(estimator: str, k_used: int, raw: np.ndarray, n_features: int) -> LidProfile:
+    cap = 4.0 * n_features
+    ids = np.clip(np.where(np.isfinite(raw), raw, cap), ID_FLOOR, cap)
     return LidProfile(estimator=estimator, k_used=k_used, ids=ids, log_ids=np.log(ids))
 
 
-def estimate_mle(
-    graph: NeighborGraph,
-    k: int,
-    *,
-    id_floor: float = ID_FLOOR,
-    id_cap: float | None = None,
-) -> LidProfile:
+def estimate_mle(graph: NeighborGraph, k: int) -> LidProfile:
     """Hill-type MLE: id(i) = -1 / mean_{j<=k} ln(d_ij / d_ik).
 
     The mean runs over all k log-ratios including the zero j=k term. A
@@ -79,8 +66,6 @@ def estimate_mle(
     if k < 2:
         raise ValueError(f"mle needs k >= 2, got {k}")
     _check_k(graph, k)
-    if id_cap is None:
-        id_cap = default_id_cap(graph.n_features)
     d = graph.distances[:, :k]
     mean_log = np.empty(graph.n)
     # Row blocks keep the (rows, k) temporary under _BLOCK_BYTES; each row's
@@ -92,15 +77,10 @@ def estimate_mle(
             ratio = block / block[:, k - 1 : k]
             mean_log[start : start + rows] = np.log(ratio, out=ratio).mean(axis=1)
         raw = np.where(mean_log < 0.0, -1.0 / mean_log, np.inf)
-    return _finish("mle", k, raw, id_floor, id_cap)
+    return _finish("mle", k, raw, graph.n_features)
 
 
-def estimate_twonn(
-    graph: NeighborGraph,
-    *,
-    id_floor: float = ID_FLOOR,
-    id_cap: float | None = None,
-) -> LidProfile:
+def estimate_twonn(graph: NeighborGraph) -> LidProfile:
     """Two-NN point estimate: id(i) = ln 2 / ln(d_i2 / d_i1).
 
     Under local uniformity ln(d_i2 / d_i1) ~ Exp(m), so the estimate is
@@ -110,25 +90,13 @@ def estimate_twonn(
     """
     if graph.kmax < 2:
         raise ValueError("twonn needs kmax >= 2")
-    if id_cap is None:
-        id_cap = default_id_cap(graph.n_features)
     ratio = graph.distances[:, 1] / graph.distances[:, 0]
     with np.errstate(divide="ignore"):
         raw = np.where(ratio > 1.0, np.log(2.0) / np.log(ratio), np.inf)
-    return _finish("twonn", 2, raw, id_floor, id_cap)
+    return _finish("twonn", 2, raw, graph.n_features)
 
 
-def estimate_tle(graph: NeighborGraph, dataset, k: int) -> LidProfile:
-    """Tight local estimation from pairwise neighborhood distances.
-
-    Gated off in this build: the estimator is defined by an external
-    reference implementation that is not available to validate against,
-    and nothing downstream requires it.
-    """
-    raise FeatureUnavailableError(_TLE_UNAVAILABLE)
-
-
-ESTIMATORS = {"mle": estimate_mle, "twonn": lambda graph, k, **kw: estimate_twonn(graph, **kw)}
+ESTIMATORS = {"mle": estimate_mle, "twonn": lambda graph, k: estimate_twonn(graph)}
 
 
 def check_estimator(estimator: str) -> None:
@@ -138,21 +106,14 @@ def check_estimator(estimator: str) -> None:
     raises ValueError.
     """
     if estimator == "tle":
-        raise FeatureUnavailableError(_TLE_UNAVAILABLE)
+        raise FeatureUnavailableError("the tle estimator is not built; use 'mle' or 'twonn'")
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; choose from {sorted(ESTIMATORS)}")
 
 
-def estimator_k_grid(n: int | None = None) -> list[int]:
-    """The standard LID neighborhood grid, truncated to sizes <= n-1."""
-    if n is None:
-        return list(K_GRID)
-    return [k for k in K_GRID if k <= n - 1]
-
-
-def estimate_profile(estimator: str, graph: NeighborGraph, k: int, **kwargs) -> LidProfile:
+def estimate_profile(estimator: str, graph: NeighborGraph, k: int) -> LidProfile:
     check_estimator(estimator)
-    return ESTIMATORS[estimator](graph, k, **kwargs)
+    return ESTIMATORS[estimator](graph, k)
 
 
 def write_profile_csv(profile: LidProfile, path: str | Path) -> None:

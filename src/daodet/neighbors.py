@@ -60,14 +60,8 @@ def _check_k(graph: NeighborGraph, k: int) -> None:
         raise ValueError(f"k={k} out of range [1, kmax={graph.kmax}]")
 
 
-def kdist(graph: NeighborGraph, i: int, k: int) -> float:
-    """Distance from point i to its k-th nearest neighbor."""
-    _check_k(graph, k)
-    return float(graph.distances[i, k - 1])
-
-
 def kdist_column(graph: NeighborGraph, k: int) -> np.ndarray:
-    """kdist for all points at once."""
+    """Each point's distance to its k-th nearest neighbor."""
     _check_k(graph, k)
     return graph.distances[:, k - 1]
 

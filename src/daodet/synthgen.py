@@ -179,25 +179,21 @@ def generate(spec: SynthSpec) -> tuple[Dataset, GenReport]:
     )
 
 
-def default_dims_c2() -> list[int]:
-    """Even subspace dimensions 2..32, the 16 standard templates."""
-    return list(range(2, 33, 2))
-
-
 def suite_specs(
     reps: int,
-    dims_c2: Sequence[int] | None = None,
+    dims_c2: Sequence[int],
     seed0: int = 0,
     template: SynthSpec | None = None,
 ) -> list[SynthSpec]:
     """reps replicates of one spec per dim_c2 value, seeds seed0+index.
 
-    The index runs replicate-major: all dims of replicate 0 first. The
-    default grid is the 16 even dimensions, so reps=30 yields 480 specs.
+    The index runs replicate-major: all dims of replicate 0 first. On the
+    standard grid of 16 even dimensions (``gen --dims 2..32:2``), reps=30
+    yields 480 specs.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    dims = list(dims_c2) if dims_c2 is not None else default_dims_c2()
+    dims = list(dims_c2)
     template = template if template is not None else SynthSpec()
     if not dims:
         raise ValueError("dims_c2 must be non-empty")
@@ -209,16 +205,6 @@ def suite_specs(
         for rep in range(reps)
         for i, dim in enumerate(dims)
     ]
-
-
-def benchmark_suite(
-    reps: int,
-    dims_c2: Sequence[int] | None = None,
-    seed0: int = 0,
-    template: SynthSpec | None = None,
-) -> list[Dataset]:
-    """The datasets of ``suite_specs(reps, dims_c2, seed0, template)``."""
-    return [generate(spec)[0] for spec in suite_specs(reps, dims_c2, seed0, template)]
 
 
 def sidecar_metadata(spec: SynthSpec, report: GenReport) -> dict:

@@ -331,6 +331,33 @@ def test_report_incomplete_grid_exit_code(records_csv, tmp_path, capsys):
     assert "missing cells" in capsys.readouterr().err
 
 
+def test_run_threads_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "r.csv")
+    assert run_cli("run", "--data", "x.csv", "--threads", "abc", "--out", out) == 1
+    assert "'abc'" in capsys.readouterr().err
+    monkeypatch.setenv("DAODET_THREADS", "2x")
+    assert run_cli("run", "--data", "x.csv", "--out", out) == 1
+    assert "'2x'" in capsys.readouterr().err
+
+
+def test_labelled_csv_with_blank_first_line(tmp_path, capsys):
+    from daodet.cli import _load_for_run
+
+    rng = np.random.default_rng(5)
+    ds = Dataset(points=rng.standard_normal((40, 3)), labels=np.arange(40) == 0)
+    path = tmp_path / "blank.csv"
+    write_csv(ds, path)
+    path.write_text("\n" + path.read_text())
+    loaded = _load_for_run(path, "label")
+    assert loaded.dim == 3
+    np.testing.assert_array_equal(loaded.labels, ds.labels)
+    out = tmp_path / "r.csv"
+    assert run_cli(
+        "run", "--data", str(path), "--k", "5", "--lid-grid", "5", "--out", str(out)
+    ) == 0
+    assert "skipping" not in capsys.readouterr().err
+
+
 def test_lid_dump(synth_dir, tmp_path):
     out = tmp_path / "prof.csv"
     data = sorted(synth_dir.glob("*.csv"))[0]

@@ -354,21 +354,14 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, labeled, dim):
 
 
 def test_profile_and_score_writers_match_csv_writer(tmp_path):
-    from daodet.detectors import ScoreVector, write_scores_csv
     from daodet.lid import LidProfile, write_profile_csv
 
-    for ids in (np.abs(_AWKWARD[_AWKWARD != 0]), np.arange(1, 4)):
+    for ids in (np.abs(_AWKWARD[_AWKWARD != 0]), np.arange(1, 4), np.float32([0.1, 2.0])):
         prof = LidProfile(estimator="mle", k_used=5, ids=ids, log_ids=np.log(ids))
         write_profile_csv(prof, tmp_path / "lid.csv")
         rows = [[i, repr(float(a)), repr(float(b))] for i, (a, b) in enumerate(zip(ids, np.log(ids)))]
         ref = _csv_writer_bytes(tmp_path / "ref.csv", ["point_index", "id", "log_id"], rows)
         assert (tmp_path / "lid.csv").read_bytes() == ref
-
-    for scores in (_AWKWARD, np.array([np.inf, np.nan, -np.inf]), np.arange(3), np.float32([0.1])):
-        write_scores_csv(ScoreVector(detector="knn", k=5, scores=scores), tmp_path / "s.csv")
-        rows = [[i, repr(float(v))] for i, v in enumerate(scores)]
-        ref = _csv_writer_bytes(tmp_path / "ref.csv", ["point_index", "score"], rows)
-        assert (tmp_path / "s.csv").read_bytes() == ref
 
 
 def test_written_file_loads_without_the_cell_parser(tmp_path, monkeypatch):

@@ -212,20 +212,6 @@ def test_knn_monotone_in_outlier_distance(rng):
         prev = score
 
 
-def test_scores_csv_export(tmp_path, rng):
-    from daodet.detectors import write_scores_csv
-
-    pts = rng.standard_normal((20, 2))
-    g = build_neighbor_graph(pts, kmax=5)
-    sv = score_slof(g, 5)
-    out = tmp_path / "scores.csv"
-    write_scores_csv(sv, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "point_index,score"
-    assert len(lines) == 21
-    assert float(lines[1].split(",")[1]) == sv.scores[0]
-
-
 def test_all_scores_finite_and_positive_on_extreme_data(rng):
     # tight cluster plus far-flung outliers stress the dao exponential
     pts = np.vstack(

@@ -8,9 +8,7 @@ from daodet.lid import (
     FeatureUnavailableError,
     estimate_mle,
     estimate_profile,
-    estimate_tle,
     estimate_twonn,
-    estimator_k_grid,
     write_profile_csv,
 )
 from daodet.neighbors import build_neighbor_graph
@@ -100,9 +98,10 @@ def test_twonn_hand_cases():
 
 def test_twonn_floor_interaction():
     g = fake_graph([[1, 2], [0, 2], [0, 1]], [[2.0, 8.0]] * 3)
-    assert estimate_twonn(g).ids[0] == 0.5  # default floor 0.05 keeps it
-    prof = estimate_twonn(g, id_floor=0.8)
-    np.testing.assert_array_equal(prof.ids, 0.8)
+    assert estimate_twonn(g).ids[0] == 0.5  # the floor 0.05 keeps it
+    # ln 2 / ln 2e6 is about 0.048, below the floor
+    g = fake_graph([[1, 2], [0, 2], [0, 1]], [[1.0, 2e6]] * 3)
+    np.testing.assert_array_equal(estimate_twonn(g).ids, lid.ID_FLOOR)
 
 
 def test_profiles_always_finite(rng):
@@ -131,18 +130,8 @@ def test_scale_invariance(c, seed):
     np.testing.assert_allclose(t1.ids, t2.ids, rtol=1e-9)
 
 
-def test_estimator_k_grid():
-    full = [5, 10, 15, 30, 50, 90, 150, 260, 320, 450, 560, 780]
-    assert estimator_k_grid() == full
-    assert estimator_k_grid(1600) == full
-    assert estimator_k_grid(100) == [5, 10, 15, 30, 50, 90]
-    assert estimator_k_grid(6) == [5]
-
-
 def test_tle_is_gated():
     g = fake_graph([[1, 2], [0, 2], [0, 1]], [[1.0, 2.0]] * 3)
-    with pytest.raises(FeatureUnavailableError):
-        estimate_tle(g, None, 2)
     with pytest.raises(FeatureUnavailableError):
         estimate_profile("tle", g, 2)
 

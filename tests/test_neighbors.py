@@ -18,7 +18,7 @@ from daodet.neighbors import (
     cached_neighbor_graph,
     euclidean,
     graph_cache_key,
-    kdist,
+    kdist_column,
     load_graph,
     save_graph,
     select_knn_all,
@@ -308,12 +308,12 @@ def test_stored_distances_equal_distance_fn(rng):
 
 def test_kdist_lookup_and_range():
     g = build_neighbor_graph(np.array([[0.0], [1.0], [3.0]]), kmax=2)
-    assert kdist(g, 0, 1) == 1.0
-    assert kdist(g, 0, 2) == 3.0
+    assert kdist_column(g, 1)[0] == 1.0
+    assert kdist_column(g, 2)[0] == 3.0
     with pytest.raises(ValueError, match="out of range"):
-        kdist(g, 0, 3)
+        kdist_column(g, 3)
     with pytest.raises(ValueError, match="out of range"):
-        kdist(g, 0, 0)
+        kdist_column(g, 0)
 
 
 def test_kmax_bounds(rng):
@@ -385,7 +385,7 @@ def test_rows_sorted_and_self_excluded(pts):
         assert np.all(np.diff(g.distances[i]) >= 0)
         # kdist monotone in k
         for k in range(1, kmax):
-            assert kdist(g, i, k + 1) >= kdist(g, i, k)
+            assert kdist_column(g, k + 1)[i] >= kdist_column(g, k)[i]
 
 
 def test_permutation_invariance(rng):

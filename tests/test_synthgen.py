@@ -4,9 +4,7 @@ from scipy import integrate, stats
 
 from daodet.synthgen import (
     SynthSpec,
-    benchmark_suite,
     chi2_quantile,
-    default_dims_c2,
     generate,
     random_rotation,
     sidecar_metadata,
@@ -135,19 +133,19 @@ def test_complement_coordinates_are_zero():
 
 def test_benchmark_suite_counts():
     small = SynthSpec(cluster_size=40)
-    suite = benchmark_suite(30, default_dims_c2(), seed0=0, template=small)
+    suite = [generate(spec)[0] for spec in suite_specs(30, range(2, 33, 2), template=small)]
     assert len(suite) == 480
     assert len({ds.name for ds in suite}) == 480
 
-    one = benchmark_suite(1, [8], seed0=5, template=small)
+    one = suite_specs(1, [8], seed0=5, template=small)
     assert len(one) == 1
-    meta = one[0].name
+    meta = generate(one[0])[0].name
     assert "d1-8" in meta and "d2-8" in meta
 
     with pytest.raises(ValueError, match="reps"):
-        benchmark_suite(0, [8])
+        suite_specs(0, [8])
     with pytest.raises(ValueError, match="dim_c2"):
-        benchmark_suite(1, [40], template=small)
+        suite_specs(1, [40], template=small)
 
 
 def test_suite_specs_seed_schedule_is_replicate_major():

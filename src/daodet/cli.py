@@ -153,14 +153,28 @@ def _load_for_run(path: Path, label_column: str) -> Dataset:
 
 def _run_one(
     task: tuple[str, str, SweepConfig, str | None, bool],
-) -> tuple[str, list[EvalRecord] | None]:
-    """Evaluate one dataset file; returns (path, records or None if skipped)."""
+) -> tuple[str, list[EvalRecord] | None, str | None]:
+    """Evaluate one dataset file.
+
+    Returns (path, records, error): records is None when the file is
+    unlabeled or fails, and error is the message of a data or I/O failure,
+    so one bad file does not stop the others (also under a process pool).
+    """
     path_s, label_column, config, cache, timing = task
-    path = Path(path_s)
+    try:
+        return path_s, _evaluate_file(Path(path_s), label_column, config, cache, timing), None
+    except (ValueError, OSError) as exc:  # DatasetError is a ValueError
+        return path_s, None, str(exc)
+
+
+def _evaluate_file(
+    path: Path, label_column: str, config: SweepConfig, cache: str | None, timing: bool
+) -> list[EvalRecord] | None:
+    """The records of one dataset file, or None if it is unlabeled."""
     ds = _load_for_run(path, label_column)
     _check_distinctness(ds)
     if ds.labels is None:
-        return path_s, None
+        return None
     det_ks, lid_ks, kmax = config.grids(ds.n)
     if len(det_ks) < len(config.k_range):
         _warn(f"dataset {ds.name!r}: k range truncated to <= {ds.n - 1}")
@@ -180,7 +194,7 @@ def _run_one(
         for i, rec in enumerate(records):
             mean_s, std_s = times[rec.detector]
             records[i] = replace(rec, runtime_mean_s=mean_s, runtime_std_s=std_s)
-    return path_s, records
+    return records
 
 
 def cmd_run(args, config_file: dict[str, str]) -> int:
@@ -227,21 +241,25 @@ def cmd_run(args, config_file: dict[str, str]) -> int:
         results = [_run_one(t) for t in tasks]
 
     all_records: list[EvalRecord] = []
-    skipped = 0
-    for path_s, records in results:
-        if records is None:
+    datasets = failed = 0
+    for path_s, records, error in results:
+        if error is not None:
+            print(f"error: {path_s}: {error}", file=sys.stderr)
+            failed += 1
+        elif records is None:
             _warn(f"skipping unlabeled dataset {path_s}")
-            skipped += 1
         else:
             all_records.extend(records)
+            datasets += 1
     if not all_records:
-        print("error: all datasets were skipped (no labels found)", file=sys.stderr)
+        if not failed:
+            print("error: all datasets were skipped (no labels found)", file=sys.stderr)
         return 2
     order = {d: i for i, d in enumerate(config.detectors)}
     all_records.sort(key=lambda r: (r.dataset, order[r.detector]))
     write_records_csv(all_records, out)
-    print(f"wrote {len(all_records)} records for {len(paths) - skipped} datasets to {out}")
-    return 0
+    print(f"wrote {len(all_records)} records for {datasets} datasets to {out}")
+    return 2 if failed else 0
 
 
 # ---------------------------------------------------------------------------

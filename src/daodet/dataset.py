@@ -193,6 +193,8 @@ def _read_fast(
     stop = text.find("\n", start)
     stop = len(text) if stop < 0 else stop
     first = next(csv.reader([text[start:stop]]), [])
+    if not first:
+        raise ValueError("no rows")
     header = [cell.strip() for cell in first] if _looks_like_header(first) else None
     label_idx = _label_index(label_column, header, len(first), path)
     body = text[stop + 1 :] if header is not None else text[start:]
@@ -244,6 +246,8 @@ def load_csv(
         raise DatasetError(f"no such file: {path}")
     try:
         pts, labels = _read_fast(path, label_column, outlier_token, inlier_token)
+    except MissingLabelColumn:  # decided from the first row, as _read_cells would
+        raise
     except ValueError:
         pts, labels = _read_cells(path, label_column, outlier_token, inlier_token)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import Dataset, write_table
 from .detectors import DETECTORS, SCORERS, ScoreVector, dao_kernel, dao_log_ratios, score_dao
 from .lid import K_GRID, LidProfile, check_estimator, estimate_profile
-from .neighbors import NeighborGraph, _distance_rows, build_neighbor_graph, select_knn_all
+from .neighbors import NeighborGraph, build_neighbor_graph, distance_matrix, select_knn_all
 
 DEFAULT_K_RANGE = range(5, 101)
 
@@ -386,7 +386,7 @@ def time_detectors(
     machine-state drift cannot bias one detector's mean against another's.
     """
     det_ks, lid_ks, _ = config.grids(dataset.n)
-    dists = _distance_rows(dataset.points, np.arange(dataset.n))
+    dists = distance_matrix(dataset)
 
     def run(k_sets: int, score) -> float:
         t0 = time.perf_counter()

@@ -19,9 +19,13 @@ import numpy as np
 
 from .dataset import Dataset, _replacing
 
-_CHUNK_ROWS = 256
-# Cap on the (rows, n, d) difference temporary of one euclidean call.
+_CHUNK_ROWS = 128
+# Cap on the (rows, columns, d) difference temporary of one euclidean call.
 _BLOCK_BYTES = 4 << 20
+# Cap on the bytes of distance tiles a graph build keeps for later chunks.
+# The whole store, (n/2)^2 * 8 bytes at its peak, fits up to n of about 2000;
+# beyond that, the tiles that do not fit are recomputed.
+_STORE_BYTES = 8 << 20
 _TINY = np.finfo(np.float64).tiny
 # Selection keys: the sign bit, the +inf bit pattern, the one key every
 # NaN maps to (quiet-NaN bits with the sign set, above every number) and
@@ -99,25 +103,80 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist[()]  # a scalar again for one pair
 
 
-def _distance_rows(
-    points: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Distances from points[rows] to all points, bitwise equal to one
-    ``euclidean(points[rows][:, None, :], points[None, :, :])`` call.
+def _fill_distances(points: np.ndarray, rows: slice, cols: slice, out: np.ndarray) -> None:
+    """Write the distances from points[rows] to points[cols] into ``out``.
 
-    Each euclidean call covers a block of rows small enough that its
-    (block, n, d) difference temporary stays under _BLOCK_BYTES; every pair
-    is still reduced by the same einsum, so only the peak memory changes.
-    The rows are written into ``out`` (rows.size, n) when it is given.
+    Each ``euclidean`` call covers a block of rows small enough that its
+    (block, columns, d) difference temporary stays under _BLOCK_BYTES; every
+    pair is still reduced by the same einsum, so the values are those of one
+    call over all the rows and columns.
     """
-    n, dim = points.shape
-    if out is None:
-        out = np.empty((rows.size, n))
-    block = max(1, _BLOCK_BYTES // (8 * n * max(dim, 1)))
-    for start in range(0, rows.size, block):
-        stop = min(start + block, rows.size)
-        out[start:stop] = euclidean(points[rows[start:stop]][:, None, :], points[None, :, :])
+    block = max(1, _BLOCK_BYTES // (8 * (cols.stop - cols.start) * max(points.shape[1], 1)))
+    for lo in range(rows.start, rows.stop, block):
+        hi = min(lo + block, rows.stop)
+        out[lo - rows.start : hi - rows.start] = euclidean(
+            points[lo:hi, None, :], points[None, cols, :]
+        )
+
+
+def distance_matrix(data: Dataset | np.ndarray) -> np.ndarray:
+    """All pairwise distances, bitwise equal to one
+    ``euclidean(points[:, None, :], points[None, :, :])`` call.
+
+    Each _CHUNK_ROWS chunk of rows computes its columns from its first row
+    onwards and mirrors them below the diagonal, so every pair is computed
+    once: (a - b) is -(b - a) exactly, so ``euclidean`` is symmetric bit for bit.
+    """
+    points = _points(data)
+    n = points.shape[0]
+    out = np.empty((n, n))
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        _fill_distances(points, slice(start, stop), slice(start, n), out[start:stop, start:])
+        out[stop:, start:stop] = out[start:stop, stop:].T
     return out
+
+
+def _chunk_distances(points: np.ndarray):
+    """Yield (start, rows): the distances from each _CHUNK_ROWS chunk of
+    points, in order, to all points, as a (chunk rows, n) view of one
+    buffer that the next chunk overwrites.
+
+    A chunk computes its columns from its first row onwards and keeps copies
+    of the tiles that the nearest later chunks need, while the tiles held
+    stay within _STORE_BYTES. A later chunk takes those columns from the
+    tiles, transposed (``euclidean`` is symmetric bit for bit), and computes
+    the columns whose tiles did not fit.
+    """
+    n = points.shape[0]
+    bounds = list(range(0, n, _CHUNK_ROWS)) + [n]
+    # One buffer for the whole build, so no chunk faults in fresh pages.
+    buf = np.empty((min(_CHUNK_ROWS, n), n))
+    store: dict[tuple[int, int], np.ndarray] = {}  # (from chunk, for chunk) -> tile
+    held = 0
+    for c in range(len(bounds) - 1):
+        start, stop = bounds[c], bounds[c + 1]
+        rows = buf[: stop - start]
+        runs = []  # column ranges to compute, adjacent ones merged
+        for p in range(c + 1):
+            tile = store.pop((p, c), None)  # never one for the chunk's own columns
+            if tile is not None:
+                rows[:, bounds[p] : bounds[p + 1]] = tile.T
+                held -= tile.nbytes
+            elif runs and runs[-1][1] == bounds[p]:
+                runs[-1][1] = bounds[p + 1]
+            else:
+                runs.append([bounds[p], bounds[p + 1]])
+        runs[-1][1] = n  # the last run ends with the chunk's own columns
+        for lo, hi in runs:
+            _fill_distances(points, slice(start, stop), slice(lo, hi), rows[:, lo:hi])
+        for q in range(c + 1, len(bounds) - 1):
+            tile = rows[:, bounds[q] : bounds[q + 1]]
+            if held + tile.nbytes > _STORE_BYTES:
+                break
+            store[c, q] = tile.copy()
+            held += tile.nbytes
+        yield start, rows
 
 
 def _order_keys(bits: np.ndarray) -> np.ndarray:
@@ -204,17 +263,19 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
     return idx, dist
 
 
-def _select_by_chunks(n: int, k: int, chunk_rows) -> tuple[np.ndarray, np.ndarray]:
-    """kNN of all n points, one _CHUNK_ROWS chunk of queries at a time.
+def _select_by_chunks(n: int, k: int, chunks) -> tuple[np.ndarray, np.ndarray]:
+    """kNN of all n points, one chunk of queries at a time.
 
-    chunk_rows(rows) returns the (rows.size, n) distances of that chunk.
+    chunks yields (start, rows), the distances from queries start onwards
+    to all n points, covering all n queries.
     """
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=np.float64)
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        rows = np.arange(start, stop)
-        indices[start:stop], distances[start:stop] = select_knn_rows(chunk_rows(rows), rows, k)
+    for start, rows in chunks:
+        stop = start + rows.shape[0]
+        indices[start:stop], distances[start:stop] = select_knn_rows(
+            rows, np.arange(start, stop), k
+        )
     return indices, distances
 
 
@@ -224,7 +285,9 @@ def select_knn_all(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Row i's own column is the excluded self entry. Chunked so per-call
     allocations stay small.
     """
-    return _select_by_chunks(dists.shape[0], k, lambda rows: dists[rows[0] : rows[-1] + 1])
+    n = dists.shape[0]
+    chunks = ((start, dists[start : start + _CHUNK_ROWS]) for start in range(0, n, _CHUNK_ROWS))
+    return _select_by_chunks(n, k, chunks)
 
 
 def _points(data: Dataset | np.ndarray) -> np.ndarray:
@@ -237,11 +300,7 @@ def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph
     n = points.shape[0]
     if not 1 <= kmax <= n - 1:
         raise ValueError(f"kmax={kmax} out of range [1, {n - 1}]")
-    # One chunk buffer for the whole build, so no chunk faults in fresh pages.
-    buf = np.empty((min(_CHUNK_ROWS, n), n))
-    indices, distances = _select_by_chunks(
-        n, kmax, lambda rows: _distance_rows(points, rows, out=buf[: rows.size])
-    )
+    indices, distances = _select_by_chunks(n, kmax, _chunk_distances(points))
     if not np.isfinite(distances).all():
         raise ValueError(
             "non-finite distances in graph: a pairwise distance exceeds the float range"

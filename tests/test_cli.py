@@ -197,6 +197,26 @@ def test_run_corrupted_csv_is_data_error(tmp_path, capsys):
     assert "row" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_bad_file_beside_good_ones(synth_dir, tmp_path, capsys, threads):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in sorted(synth_dir.glob("*.csv"))[:2]:
+        (data / path.name).write_bytes(path.read_bytes())
+    grid = ("--k", "5,10", "--lid-grid", "5")
+    out, ref = tmp_path / "r.csv", tmp_path / "ref.csv"
+    assert run_cli("run", "--data", str(data), *grid, "--out", str(ref)) == 0
+    (data / "bad.csv").write_text("a,b,label\n1,2,0\n3,oops,1\n")
+    capsys.readouterr()
+    code = run_cli("run", "--data", str(data), *grid, "--threads", threads, "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {data / 'bad.csv'}: non-numeric value 'oops' at row 1, column 1"
+    ]
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_run_unlabeled_skipped_with_warning(tmp_path, capsys):
     unlabeled = tmp_path / "u.csv"
     unlabeled.write_text("a,b\n1,2\n3,4\n5,6\n7,8\n9,10\n11,12\n13,14\n")

@@ -10,6 +10,7 @@ from daodet import dataset
 from daodet.dataset import (
     Dataset,
     DatasetError,
+    MissingLabelColumn,
     feature_distinctness,
     load_csv,
     read_sidecar,
@@ -373,3 +374,13 @@ def test_written_file_loads_without_the_cell_parser(tmp_path, monkeypatch):
     back = load_csv(tmp_path / "d.csv", label_column="label")
     assert back.points.tobytes() == ds.points.tobytes()
     np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+def test_missing_label_column_is_decided_without_the_cell_parser(tmp_path, monkeypatch):
+    blank = write_lines(tmp_path / "blank.csv", ["", "", ""])
+    with pytest.raises(DatasetError, match="empty file"):  # no first row: the cell parser decides
+        load_csv(blank, label_column="label")
+    unlabelled = write_lines(tmp_path / "u.csv", ["", "a,b", "1,2", "3,4"])
+    monkeypatch.setattr(dataset, "_read_cells", mock.Mock(side_effect=AssertionError("slow path")))
+    with pytest.raises(MissingLabelColumn, match="label column 'label' not found"):
+        load_csv(unlabelled, label_column="label")

@@ -13,9 +13,9 @@ from daodet.dataset import Dataset
 from daodet.detectors import score_dao
 from daodet.lid import estimate_profile
 from daodet.neighbors import (
-    _distance_rows,
     build_neighbor_graph,
     cached_neighbor_graph,
+    distance_matrix,
     euclidean,
     graph_cache_key,
     kdist_column,
@@ -63,7 +63,7 @@ def test_matches_python_oracle(path, rng):
         g = build_neighbor_graph(pts, kmax=10)
         indices, distances = g.indices, g.distances
     else:  # the timing harness selects from one full distance matrix
-        indices, distances = select_knn_all(_distance_rows(pts, np.arange(60)), 10)
+        indices, distances = select_knn_all(distance_matrix(pts), 10)
     oi, od = brute_oracle(pts, 10)
     np.testing.assert_array_equal(indices, oi)
     np.testing.assert_array_equal(distances, od)
@@ -113,21 +113,101 @@ def test_blocked_distance_rows_equal_single_call(monkeypatch):
     # overflow from rows 2 and 6.
     pts[[0, 1, 4, 5]] = [[0.0, 0.0], [2.49e-191, 0.0], [0.0, 3e-191], [0.0, 5.49e-191]]
     pts[[2, 6]] = [[1e200, -1e200], [-3e200, 0.0]]
-    rows = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 2, 1])
     calls = []
 
     def counted(a, b):
-        calls.append(a.shape[0])
+        calls.append((a.shape[0], b.shape[1]))
         return euclidean(a, b)
 
-    # Two rows per block: rows 1|2 and 5|6 sit on either side of a block edge.
-    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 2 * 8 * pts.size)
+    # Chunks of rows 0-3, 4-7 and 8, each computing its columns from its
+    # first row on. One row per block over 9 columns and two over 5: rows
+    # 1|2 and 5|6 sit on either side of a block edge, 3|4 of a chunk edge.
+    monkeypatch.setattr(neighbors, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 2 * 8 * 5 * 2)
     monkeypatch.setattr(neighbors, "euclidean", counted)
-    blocked = neighbors._distance_rows(pts, rows)
-    assert calls == [2, 2, 2, 2, 2, 1]
-    single = euclidean(pts[rows][:, None], pts[None])
+    blocked = distance_matrix(pts)
+    assert calls == [(1, 9)] * 4 + [(2, 5)] * 2 + [(1, 1)]
+    single = euclidean(pts[:, None], pts[None])
     assert blocked.tobytes() == single.tobytes()
-    assert blocked[0, 1] == 2.49e-191 and np.isfinite(blocked[2]).all()
+    assert blocked[0, 1] == blocked[1, 0] == 2.49e-191 and np.isfinite(blocked[2]).all()
+
+
+def _strided(rng, shape):
+    """Points at an odd stride and offset inside a larger array."""
+    rows, dim = shape
+    return (rng.standard_normal((3 * rows + 1, 2 * dim + 3)) * 4.0)[1::3, 3::2]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 32, 64])
+def test_euclidean_is_symmetric_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    a, b = _strided(rng, (13, dim)), _strided(rng, (11, dim))
+    # Rows whose squared differences underflow or overflow take the rescue.
+    a[:3], b[:3] = 0.0, 0.0
+    a[1], a[2, 0], b[2, 0] = 2.49e-191, 3e-200, -1e-200
+    a[3], b[3] = 1e200, -1e200
+    a[4, -1], b[4, -1] = 1e154, -3e154
+    ab = euclidean(a[:, None, :], b[None, :, :])
+    ba = euclidean(b[:, None, :], a[None, :, :])
+    assert ab.tobytes() == np.ascontiguousarray(ba.T).tobytes()
+    assert ab[1, 0] > 0.0 and ab[2, 2] > 0.0 and ab[0, 0] == 0.0
+    assert np.isfinite(ab[3, 3]) and np.isfinite(ab[4, 4])
+
+
+def _points_with_rescue_rows(n):
+    """Gaussian points in 3-d with near-coincident rows (their squared
+    differences underflow) and far-out rows (theirs overflow) on both sides
+    of the 128-row tile edges."""
+    pts = np.random.default_rng(n).standard_normal((n, 3))
+    for j, i in enumerate(r for r in (0, 127, 128) if r < n):
+        pts[i] = [j * 2.49e-191, 0.0, 0.0]
+    for j, i in enumerate(r for r in (64, 129, 255, 256) if r < n):
+        pts[i] = [(j + 1) * 1e200 * (-1) ** j, 1e200, 0.0]
+    return pts
+
+
+_TILE_BYTES = 128 * 128 * 8
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 257])
+def test_graph_equals_oracle_for_every_store_cap(n, monkeypatch):
+    pts = _points_with_rescue_rows(n)
+    oi, od = brute_oracle(pts, n - 1)
+    for chunk_rows in (128, 32):
+        monkeypatch.setattr(neighbors, "_CHUNK_ROWS", chunk_rows)
+        for cap in (0, _TILE_BYTES, 3 * _TILE_BYTES, 1 << 62):
+            monkeypatch.setattr(neighbors, "_STORE_BYTES", cap)
+            for kmax in (1, n // 2, n - 1):
+                g = build_neighbor_graph(pts, kmax)
+                assert g.indices.tobytes() == oi[:, :kmax].tobytes()
+                assert g.distances.tobytes() == od[:, :kmax].tobytes()
+
+
+def test_each_pair_computed_once_with_an_unlimited_store(monkeypatch):
+    n = 300  # chunks of rows 0-127, 128-255 and 256-299
+    # Column 0 is the point's index, so a spy on euclidean can count pairs.
+    pts = np.column_stack([np.arange(n, dtype=np.float64), np.random.default_rng(1).random(n)])
+    counts = np.zeros((n, n), dtype=np.int64)
+
+    def counted(a, b):
+        counts[np.ix_(a[:, 0, 0].astype(int), b[0, :, 0].astype(int))] += 1
+        return euclidean(a, b)
+
+    monkeypatch.setattr(neighbors, "euclidean", counted)
+    chunk = np.arange(n) // 128
+    # Chunks compute their own tile and those right of it; the rest are transposed.
+    once = np.where(chunk[:, None] == chunk[None, :], 1, chunk[:, None] < chunk[None, :])
+    monkeypatch.setattr(neighbors, "_STORE_BYTES", 1 << 62)
+    build_neighbor_graph(pts, 5)
+    np.testing.assert_array_equal(counts, once)
+    counts[:] = 0
+    distance_matrix(pts)
+    np.testing.assert_array_equal(counts, once)
+
+    counts[:] = 0
+    monkeypatch.setattr(neighbors, "_STORE_BYTES", 0)
+    build_neighbor_graph(pts, 5)
+    np.testing.assert_array_equal(counts, 1)  # all n^2 pairs
 
 
 def _lexsort_select(dist_rows, self_idx, k):

@@ -106,12 +106,12 @@ def _check_distinctness(ds: Dataset) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    template = synthgen.SynthSpec(
-        ambient_dim=args.ambient_dim,
-        cluster_size=args.cluster_size,
-        dim_c1=args.dim_c1,
-    )
     try:
+        template = synthgen.SynthSpec(
+            ambient_dim=args.ambient_dim,
+            cluster_size=args.cluster_size,
+            dim_c1=args.dim_c1,
+        )
         specs = synthgen.suite_specs(args.reps, parse_int_list(args.dims), args.seed, template)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -198,6 +198,10 @@ def _evaluate_file(
 
 
 def cmd_run(args, config_file: dict[str, str]) -> int:
+    unknown = sorted(set(config_file) - (set(vars(args)) - {"command", "config"}))
+    if unknown:
+        raise UsageError(f"unknown config file key(s): {', '.join(unknown)}")
+
     def setting(name: str, default: str | None) -> str | None:
         flag = getattr(args, name)
         if flag is not None:
@@ -471,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True)
     p.add_argument("--analysis", nargs="+", choices=["fig1", "fig2", "tables", "ranks"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=0.05, choices=sorted(evaluation._NEMENYI_Q))
 
     p = sub.add_parser("lid", help="dump a per-point LID profile CSV")
     p.add_argument("--data", required=True)

@@ -225,8 +225,6 @@ def friedman_nemenyi(
 
 def _truncate_k_range(k_range: Iterable[int], n: int) -> list[int]:
     ks = sorted(set(int(k) for k in k_range))
-    if not ks or ks[0] < 1:
-        raise ValueError("k range must contain positive integers")
     kept = [k for k in ks if k <= n - 1]
     if not kept:
         raise ValueError(f"no usable k in range for n={n}")
@@ -266,8 +264,8 @@ class SweepConfig:
     """The best-k protocol: detectors swept over k_range, DAO also over
     lid_k_grid (None: lid.K_GRID) with one LID estimator.
 
-    Names are checked here, and ``grids`` is the only code that fits the
-    k ranges to a dataset.
+    Names and k ranges are checked here, and ``grids`` is the only code
+    that fits the k ranges to a dataset.
     """
 
     detectors: tuple[str, ...] = DETECTORS
@@ -280,6 +278,9 @@ class SweepConfig:
             if det not in DETECTORS:
                 raise ValueError(f"unknown detector {det!r}; choose from {DETECTORS}")
         check_estimator(self.lid_estimator)
+        for name, ks in (("k range", self.k_range), ("LID k grid", self.lid_k_grid)):
+            if ks is not None and (not ks or min(ks) < 1):
+                raise ValueError(f"{name} must contain positive integers")
 
     def grids(self, n: int) -> tuple[list[int], list[int], int]:
         """(detector ks, LID grid ks, graph kmax) for a dataset of n points.

@@ -27,12 +27,9 @@ _BLOCK_BYTES = 4 << 20
 # beyond that, the tiles that do not fit are recomputed.
 _STORE_BYTES = 8 << 20
 _TINY = np.finfo(np.float64).tiny
-# Selection keys: the sign bit, the +inf bit pattern, the one key every
-# NaN maps to (quiet-NaN bits with the sign set, above every number) and
-# the query's own key, above every other.
-_SIGN = np.uint64(1 << 63)
+# Selection keys: the +inf bit pattern, above which lie only the bits of
+# negatives, -0.0 and NaNs, and the query's own key, above every other.
 _INF_BITS = np.uint64(0x7FF0000000000000)
-_NAN_KEY = np.uint64(0xFFF8000000000000)
 _SELF_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -179,19 +176,6 @@ def _chunk_distances(points: np.ndarray):
         yield start, rows
 
 
-def _order_keys(bits: np.ndarray) -> np.ndarray:
-    """Map float64 bit patterns (uint64, in place) to keys whose unsigned
-    order is the float order: -0.0 equals +0.0 and every NaN is one key
-    above +inf.
-    """
-    mag = bits & ~_SIGN
-    neg = (bits >= _SIGN) & (mag != 0)
-    np.bitwise_or(mag, _SIGN, out=bits)
-    np.invert(bits, out=bits, where=neg)
-    bits[mag > _INF_BITS] = _NAN_KEY
-    return bits
-
-
 def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
     """Exact k smallest entries per row under the (distance, index) order.
 
@@ -201,21 +185,18 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
     dist_rows itself is left unmodified.
     """
     src = np.asarray(dist_rows, dtype=np.float64)
+    self_idx = np.asarray(self_idx)
     m, n = src.shape
     rows = np.arange(m)
-    # One uint64 key per entry: distance bits that order as the distances,
-    # with the low b bits replaced by the column, so keys are distinct and
-    # equal distances order by index. The bits are copied, never computed
-    # on. Without a sign bit or a NaN the raw bits already order.
+    # One uint64 key per entry: the distance's raw bits with the low b bits
+    # replaced by the column, so keys are distinct and equal distances order
+    # by index. The bits are copied, never computed on. They order as the
+    # distances only without a sign bit or a NaN.
     b = max(1, (n - 1).bit_length())
     mask = np.uint64((1 << b) - 1)
     raw = src.view(np.uint64)
-    slow = bool(raw.max(initial=0) > _INF_BITS)  # a sign bit or a NaN
-    if slow:
-        keys = _order_keys(np.array(raw, order="C"))
-        keys &= ~mask
-    else:
-        keys = np.bitwise_and(raw, ~mask, order="C")
+    signed = bool(raw.max(initial=0) > _INF_BITS)  # read before the keys, while raw is warm
+    keys = np.bitwise_and(raw, ~mask, order="C")
     keys |= np.arange(n, dtype=np.uint64)
     keys[rows, self_idx] = _SELF_KEY
     if k < n - 1:
@@ -224,42 +205,30 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
     sel.sort(axis=1)
     idx = (sel[:, :k] & mask).astype(np.int64)
     flat = src.reshape(-1)  # a view unless src is not C-contiguous
-    offsets = (rows * n)[:, None]
-    dist = np.take(flat, idx + offsets)
-
-    def exact_keys(values):  # keys of gathered distances, without truncation
-        bits = values.view(np.uint64)
-        return _order_keys(bits.copy()) if slow else bits
-
-    def tied(block, limit, block_rows):
-        # Columns whose key is at most limit, grouped by row, with their
-        # exact keys and where each row's group starts.
-        inside = block <= limit[:, None]
-        counts = np.count_nonzero(inside, axis=1)
-        rr = np.repeat(np.arange(block.shape[0]), counts)
-        cols = (block[inside] & mask).astype(np.int64)
-        ex = exact_keys(np.take(flat, block_rows[rr] * n + cols))
-        return rr, cols, ex, np.cumsum(counts) - counts
+    dist = np.take(flat, idx + (rows * n)[:, None])
 
     # Distinct distances that agree above the low b bits share a truncated
     # key and so fall back to index order. A row is wrong only where its
-    # exact distances decrease, or where the k-th and (k+1)-th share a
-    # truncated key and a column past the k-th is exactly smaller than it.
-    # Such rows are rebuilt from every column whose truncated key is at
-    # most the k-th's, by an exact (distance, index) lexsort.
-    kth = sel[:, k - 1] | mask
-    exact = exact_keys(dist)
-    bad = (exact[:, 1:] < exact[:, :-1]).any(axis=1)
-    wide = np.flatnonzero(sel[:, k] <= kth)
+    # selected distances decrease, or where the k-th and (k+1)-th share a
+    # truncated key and a column left out is exactly below the k-th. Such
+    # rows, and rows with a sign bit or a NaN, are re-sorted whole by a
+    # stable float sort: NaN last, -0.0 equal to 0.0, ties in index order.
+    bits = dist.view(np.uint64)
+    bad = (bits[:, 1:] < bits[:, :-1]).any(axis=1)
+    if signed:
+        bad |= (raw > _INF_BITS).any(axis=1)
+    wide = np.flatnonzero(sel[:, k] <= (sel[:, k - 1] | mask))
     if wide.size:
-        _, _, ex, starts = tied(keys[wide, k:], kth[wide], wide)
-        bad[wide] |= np.minimum.reduceat(ex, starts) < exact[wide, k - 1]
+        kth = bits[wide, k - 1, None]
+        below = np.count_nonzero(raw[wide] < kth, axis=1)
+        below -= raw[wide, self_idx[wide]] < kth[:, 0]  # the query is never a candidate
+        bad[wide] |= below > np.count_nonzero(bits[wide] < kth, axis=1)
     redo = np.flatnonzero(bad)
     if redo.size:
-        rr, cols, ex, starts = tied(keys[redo], kth[redo], redo)
-        order = np.lexsort((cols, ex, rr))
-        idx[redo] = cols[order[starts[:, None] + np.arange(k)]]
-        dist[redo] = np.take(flat, idx[redo] + offsets[redo])
+        order = np.argsort(src[redo], axis=1, kind="stable")
+        order = order[order != self_idx[redo, None]].reshape(redo.size, n - 1)[:, :k]
+        idx[redo] = order
+        dist[redo] = np.take_along_axis(src[redo], order, axis=1)
     return idx, dist
 
 

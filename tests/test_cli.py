@@ -68,6 +68,12 @@ def test_gen_counts_and_determinism(tmp_path):
 def test_gen_rejects_dims_beyond_ambient(tmp_path, capsys):
     assert run_cli("gen", "--dims", "40", "--out", str(tmp_path / "x")) == 1
     assert "ambient" in capsys.readouterr().err
+    # The template's own checks are usage errors too, and write nothing.
+    assert run_cli("gen", "--ambient-dim", "2", "--out", str(tmp_path / "x")) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert run_cli("gen", "--cluster-size", "1", "--out", str(tmp_path / "x")) == 1
+    assert "usage error: cluster_size" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_sidecar_contents(synth_dir):
@@ -277,6 +283,29 @@ def test_run_usage_errors(tmp_path, capsys):
         "run", "--data", "x.csv", "--estimator", "tle", "--out", str(tmp_path / "r.csv")
     ) == 2  # gated feature, named error
     assert "tle" in capsys.readouterr().err
+    # Bad k ranges and config keys exit 1 before the missing x.csv is read.
+    for flag, value in (("--k", "0..5"), ("--lid-grid", "0,5")):
+        assert run_cli(
+            "run", "--data", "x.csv", flag, value, "--out", str(tmp_path / "r.csv")
+        ) == 1
+        assert "usage error:" in capsys.readouterr().err
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("data = x.csv\ndetecters = knn\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "detecters" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_report_rejects_untabulated_alpha_before_any_analysis(records_csv, tmp_path, capsys):
+    out = tmp_path / "rep"
+    out.mkdir()
+    assert run_cli(
+        "report", "--records", str(records_csv), "--analysis", "fig1", "ranks",
+        "--alpha", "0.07", "--out", str(out),
+    ) == 1
+    assert "--alpha" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_report_fig1_shape(records_csv, tmp_path):

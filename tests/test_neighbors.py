@@ -239,7 +239,7 @@ def _from_bits(bits):
 @pytest.mark.filterwarnings("error")
 def test_select_knn_rows_matches_lexsort_and_keeps_input():
     rng = np.random.default_rng(3)
-    dist = rng.integers(1, 4, size=(12, 15)).astype(np.float64)
+    dist = rng.integers(1, 4, size=(14, 15)).astype(np.float64)
     dist[0] = 2.0  # one tie spans the whole row
     dist[1, ::2] = np.inf  # tied infinities
     dist[2] = np.arange(15.0)[::-1]  # strictly ordered, no tie
@@ -247,9 +247,14 @@ def test_select_knn_rows_matches_lexsort_and_keeps_input():
     dist[4, [1, 2, 9, 12]] = np.nan
     dist[4, [0, 6]] = np.inf
     dist[5, [0, 13]] = np.inf  # two infinities tie at k = n - 1
+    dist[12, [2, 5, 9]] = -0.0  # -0.0 ties with 0.0, by index
+    dist[12, [3, 7]] = 0.0
+    # Distances zero to three ulps above 1.0 share truncated keys and fall
+    # in each run of four columns, so the index tie-break alone is wrong.
+    dist[13] = _from_bits(np.float64(1.0).view(np.uint64) + np.arange(15, dtype=np.uint64)[::-1] % 4)
     dist.flags.writeable = False
     before = dist.tobytes()
-    self_idx = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14])
+    self_idx = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14, 6, 13])
     for k in range(1, 15):
         got_i, got_d = select_knn_rows(dist, self_idx, k)
         ref_i, ref_d = _lexsort_select(dist, self_idx, k)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -140,6 +141,12 @@ def _collect_data_paths(specs: list[str]) -> list[Path]:
             raise DatasetError(f"no such dataset path: {spec}")
     if not paths:
         raise DatasetError("no dataset files found")
+    # A dataset is named by its file stem, and records are keyed by that name.
+    by_name: dict[str, Path] = {}
+    for p in paths:
+        if p.stem in by_name:
+            raise DatasetError(f"two inputs name dataset {p.stem!r}: {by_name[p.stem]} and {p}")
+        by_name[p.stem] = p
     return paths
 
 
@@ -175,6 +182,7 @@ def _evaluate_file(
     _check_distinctness(ds)
     if ds.labels is None:
         return None
+    meta = read_sidecar(path) or {}
     det_ks, lid_ks, kmax = config.grids(ds.n)
     if len(det_ks) < len(config.k_range):
         _warn(f"dataset {ds.name!r}: k range truncated to <= {ds.n - 1}")
@@ -183,7 +191,6 @@ def _evaluate_file(
         _warn(f"dataset {ds.name!r}: LID grid truncated to <= {ds.n - 1}")
     graph = cached_neighbor_graph(ds, kmax, cache) if cache else None
     records = evaluate_dataset(ds, config, graph=graph)
-    meta = read_sidecar(path) or {}
     records = [
         replace(rec, dim_c1=meta.get("dim_c1"), dim_c2=meta.get("dim_c2")) for rec in records
     ]
@@ -271,33 +278,35 @@ def cmd_run(args, config_file: dict[str, str]) -> int:
 # ---------------------------------------------------------------------------
 
 def _pivot(records: list[EvalRecord]):
+    """The sorted dataset and detector names and each (dataset, detector)
+    cell's record; a missing or duplicate cell raises IncompleteGridError."""
     datasets = sorted({r.dataset for r in records})
     detectors = sorted({r.detector for r in records})
-    cell: dict[tuple[str, str], EvalRecord] = {}
-    for r in records:
-        cell[(r.dataset, r.detector)] = r
-    missing = [
-        f"({ds}, {det})" for ds in datasets for det in detectors if (ds, det) not in cell
+    cell = {(r.dataset, r.detector): r for r in records}
+    counts = Counter((r.dataset, r.detector) for r in records)
+    missing = [(ds, det) for ds in datasets for det in detectors if (ds, det) not in cell]
+    duplicate = sorted(key for key, count in counts.items() if count > 1)
+    problems = [
+        f"{kind} cells: {', '.join(f'({ds}, {det})' for ds, det in cells)}"
+        for kind, cells in (("missing", missing), ("duplicate", duplicate))
+        if cells
     ]
-    if missing:
-        raise IncompleteGridError(
-            f"records grid incomplete; missing cells: {', '.join(missing)}"
-        )
+    if problems:
+        raise IncompleteGridError(f"records grid incomplete; {'; '.join(problems)}")
     return datasets, detectors, cell
 
 
-def _report_fig1(records, out: Path) -> None:
-    if any(r.dim_c2 is None for r in records):
+def _report_fig1(datasets, detectors, cell, out: Path) -> None:
+    if any(r.dim_c2 is None for r in cell.values()):
         raise IncompleteGridError(
             "fig1 needs dim_c2 metadata on every record (generate datasets with 'gen')"
         )
-    datasets, detectors, cell = _pivot(records)
-    dims = sorted({r.dim_c2 for r in records})
+    dims = sorted({r.dim_c2 for r in cell.values()})
     rows = []
     series: dict[str, tuple[list[float], list[float]]] = {d: ([], []) for d in detectors}
     for dim in dims:
         for det in detectors:
-            aucs = [r.roc_auc for r in records if r.detector == det and r.dim_c2 == dim]
+            aucs = [cell[(ds, det)].roc_auc for ds in datasets if cell[(ds, det)].dim_c2 == dim]
             mean, std = float(np.mean(aucs)), float(np.std(aucs))
             rows.append([dim, det, mean, std, len(aucs)])
             series[det][0].append(mean)
@@ -311,10 +320,9 @@ def _report_fig1(records, out: Path) -> None:
     )
 
 
-def _auc_diff_rows(records):
-    """Per dataset: (morans_I, R, {pair: auc difference vs the LID-aware
-    detector}), including the best competitor ('oracle')."""
-    datasets, detectors, cell = _pivot(records)
+def _auc_diff_rows(datasets, detectors, cell):
+    """Per dataset: (name, morans_I, R, {pair: auc difference vs the
+    LID-aware detector}), including the best competitor ('oracle')."""
     if "dao" not in detectors:
         raise IncompleteGridError("analysis needs 'dao' records")
     baselines = [d for d in detectors if d != "dao"]
@@ -329,8 +337,8 @@ def _auc_diff_rows(records):
     return rows, baselines
 
 
-def _report_fig2(records, out: Path) -> None:
-    rows, baselines = _auc_diff_rows(records)
+def _report_fig2(datasets, detectors, cell, out: Path) -> None:
+    rows, baselines = _auc_diff_rows(datasets, detectors, cell)
     pairs = [f"dao:{b}" for b in baselines] + ["dao:oracle"]
     table = [[ds, mi, disp, pair, diffs[pair]] for ds, mi, disp, diffs in rows for pair in pairs]
     write_table(
@@ -348,18 +356,16 @@ def _report_fig2(records, out: Path) -> None:
         plots.write_svg(out / f"fig2_{pair.replace(':', '_')}.svg", svg)
 
 
-def _report_tables(records, out: Path) -> None:
-    rows, baselines = _auc_diff_rows(records)
+def _report_tables(datasets, detectors, cell, out: Path) -> None:
+    rows, baselines = _auc_diff_rows(datasets, detectors, cell)
     pairs = [f"dao:{b}" for b in baselines]
     regressors: dict[str, list[float]] = {
         "dispersion": [r[2] for r in rows],
         "morans": [r[1] for r in rows],
     }
-    by_ds = {r.dataset: r for r in records if r.detector == "dao"}
-    if all(r.dim_c1 is not None and r.dim_c2 is not None for r in by_ds.values()):
-        regressors["dimgap"] = [
-            abs(by_ds[ds].dim_c1 - by_ds[ds].dim_c2) for ds, _, _, _ in rows
-        ]
+    dao = [cell[(ds, "dao")] for ds in datasets]
+    if all(r.dim_c1 is not None and r.dim_c2 is not None for r in dao):
+        regressors["dimgap"] = [abs(r.dim_c1 - r.dim_c2) for r in dao]
     lines = []
     for name, xs in regressors.items():
         results = {}
@@ -377,8 +383,7 @@ def _report_tables(records, out: Path) -> None:
     print("\n".join(lines))
 
 
-def _report_ranks(records, out: Path, alpha: float) -> None:
-    datasets, detectors, cell = _pivot(records)
+def _report_ranks(datasets, detectors, cell, out: Path, alpha: float) -> None:
     table = np.array([[cell[(ds, det)].roc_auc for det in detectors] for ds in datasets])
     avg_ranks, cd = friedman_nemenyi(table, alpha=alpha)
     table = [[det, float(rank)] for det, rank in zip(detectors, avg_ranks)]
@@ -399,17 +404,18 @@ def cmd_report(args) -> int:
     records = read_records_csv(args.records)
     if not records:
         raise DatasetError(f"no records in {args.records}")
+    grid = _pivot(records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for analysis in args.analysis:
         if analysis == "fig1":
-            _report_fig1(records, out)
+            _report_fig1(*grid, out)
         elif analysis == "fig2":
-            _report_fig2(records, out)
+            _report_fig2(*grid, out)
         elif analysis == "tables":
-            _report_tables(records, out)
+            _report_tables(*grid, out)
         elif analysis == "ranks":
-            _report_ranks(records, out, args.alpha)
+            _report_ranks(*grid, out, args.alpha)
     print(f"report artifacts written to {out}")
     return 0
 

@@ -82,10 +82,6 @@ class Dataset:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def n_outliers(self) -> int:
-        return 0 if self.labels is None else int(self.labels.sum())
-
 
 def _parse_cell(text: str, row: int, col: int) -> float:
     try:
@@ -337,11 +333,27 @@ def write_csv(dataset: Dataset, path: str | Path, sidecar: dict | None = None) -
 
 
 def read_sidecar(path: str | Path) -> dict | None:
+    """The JSON sidecar of the CSV at ``path``, or None when there is none.
+
+    Raises DatasetError naming the sidecar unless it holds a JSON object
+    whose ``dim_c1`` and ``dim_c2``, where present, are integers.
+    """
     sidecar_path = Path(path).with_suffix(".json")
     if not sidecar_path.exists():
         return None
     with open(sidecar_path) as fh:
-        return json.load(fh)
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:  # also a file that is not UTF-8
+            raise DatasetError(f"sidecar {sidecar_path} is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DatasetError(f"sidecar {sidecar_path} does not hold a JSON object")
+    for key in ("dim_c1", "dim_c2"):
+        if key in meta and type(meta[key]) is not int:  # bool is not an integer here
+            raise DatasetError(
+                f"sidecar {sidecar_path}: {key} must be an integer, got {meta[key]!r}"
+            )
+    return meta
 
 
 def feature_distinctness(dataset: Dataset) -> np.ndarray:

@@ -423,26 +423,29 @@ def time_detector(dataset: Dataset, detector: str, **plan) -> tuple[float, float
 # Record CSV I/O
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "dataset", "detector", "lid_estimator", "best_k", "best_lid_k", "roc_auc",
-    "dispersion_R", "morans_I", "morans_k", "runtime_mean_s", "runtime_std_s",
-    "dim_c1", "dim_c2",
-)
+def _optional(parse):
+    return lambda text: parse(text) if text else None
+
+
+# The records schema: each column, in file order, and its cell parser. A
+# required column's is int, float or str; an optional one reads "" as None.
+_CSV_COLUMNS = {
+    "dataset": str, "detector": str, "lid_estimator": _optional(str), "best_k": int,
+    "best_lid_k": _optional(int), "roc_auc": float, "dispersion_R": float,
+    "morans_I": float, "morans_k": int, "runtime_mean_s": _optional(float),
+    "runtime_std_s": _optional(float), "dim_c1": _optional(int), "dim_c2": _optional(int),
+}
 
 
 def write_records_csv(records: Sequence[EvalRecord], path: str | Path) -> None:
     """Write ``records`` to ``path`` atomically (see ``dataset.write_table``)."""
     rows = ([getattr(rec, col) for col in _CSV_COLUMNS] for rec in records)
-    write_table(path, _CSV_COLUMNS, rows)
+    write_table(path, list(_CSV_COLUMNS), rows)
 
 
 def read_records_csv(path: str | Path) -> list[EvalRecord]:
-    def opt_int(s):
-        return int(s) if s else None
-
-    def opt_float(s):
-        return float(s) if s else None
-
+    """Read a ``write_records_csv`` file. A missing, empty required or
+    malformed cell raises ValueError naming the file, line and column."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -450,21 +453,16 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
         if missing:
             raise ValueError(f"records file {path} lacks columns {sorted(missing)}")
         for row in reader:
-            records.append(
-                EvalRecord(
-                    dataset=row["dataset"],
-                    detector=row["detector"],
-                    lid_estimator=row["lid_estimator"] or None,
-                    best_k=int(row["best_k"]),
-                    roc_auc=float(row["roc_auc"]),
-                    dispersion_R=float(row["dispersion_R"]),
-                    morans_I=float(row["morans_I"]),
-                    morans_k=int(row["morans_k"]),
-                    best_lid_k=opt_int(row["best_lid_k"]),
-                    runtime_mean_s=opt_float(row["runtime_mean_s"]),
-                    runtime_std_s=opt_float(row["runtime_std_s"]),
-                    dim_c1=opt_int(row["dim_c1"]),
-                    dim_c2=opt_int(row["dim_c2"]),
-                )
-            )
+            fields = {}
+            for col, parse in _CSV_COLUMNS.items():
+                text = row[col]  # None in a short row
+                try:
+                    if text is None or (not text and parse in (int, float, str)):
+                        raise ValueError("missing cell" if text is None else "empty cell")
+                    fields[col] = parse(text)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"records file {path}, line {reader.line_num}, column {col}: {exc}"
+                    ) from None
+            records.append(EvalRecord(**fields))
     return records

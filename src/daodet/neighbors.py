@@ -118,19 +118,13 @@ def _fill_distances(points: np.ndarray, rows: slice, cols: slice, out: np.ndarra
 
 def distance_matrix(data: Dataset | np.ndarray) -> np.ndarray:
     """All pairwise distances, bitwise equal to one
-    ``euclidean(points[:, None, :], points[None, :, :])`` call.
-
-    Each _CHUNK_ROWS chunk of rows computes its columns from its first row
-    onwards and mirrors them below the diagonal, so every pair is computed
-    once: (a - b) is -(b - a) exactly, so ``euclidean`` is symmetric bit for bit.
-    """
+    ``euclidean(points[:, None, :], points[None, :, :])`` call, from the
+    rows of ``_chunk_distances``: the graph build's tiling, which computes
+    each pair once while its store holds every tile (n up to about 2000)."""
     points = _points(data)
-    n = points.shape[0]
-    out = np.empty((n, n))
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        _fill_distances(points, slice(start, stop), slice(start, n), out[start:stop, start:])
-        out[stop:, start:stop] = out[start:stop, stop:].T
+    out = np.empty((points.shape[0],) * 2)
+    for start, rows in _chunk_distances(points):
+        out[start : start + rows.shape[0]] = rows
     return out
 
 

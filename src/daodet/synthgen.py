@@ -55,10 +55,6 @@ class ClusterTransform:
     translations: tuple[np.ndarray, np.ndarray]  # per-cluster offsets, pre-rotation
     rotation: np.ndarray                         # orthonormal (ambient x ambient)
 
-    def centers(self) -> np.ndarray:
-        """Cluster centers in the emitted (rotated) frame."""
-        return np.stack([t @ self.rotation for t in self.translations])
-
     def mahalanobis_sq(self, points: np.ndarray, cluster: int) -> np.ndarray:
         """Squared Mahalanobis distance of emitted points to one cluster.
 

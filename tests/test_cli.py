@@ -223,6 +223,46 @@ def test_run_bad_file_beside_good_ones(synth_dir, tmp_path, capsys, threads):
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_run_rejects_two_inputs_naming_one_dataset(synth_dir, tmp_path, capsys, monkeypatch):
+    path = sorted(synth_dir.glob("*.csv"))[0]
+    other = tmp_path / path.name
+    other.write_bytes(path.read_bytes())
+    out = tmp_path / "r.csv"
+    monkeypatch.setattr("daodet.cli.load_csv", None)  # no dataset may be read
+    for data in ([path, path], [synth_dir, path], [path, other]):
+        assert run_cli("run", "--data", *map(str, data), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: two inputs name dataset {path.stem!r}: {path} and {data[1]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_bad_sidecars_beside_a_good_file(synth_dir, tmp_path, capsys, threads):
+    data = tmp_path / "data"
+    data.mkdir()
+    good = sorted(synth_dir.glob("*.csv"))[0]
+    for name in (good.name, "a.csv", "b.csv", "c.csv"):
+        (data / name).write_bytes(good.read_bytes())
+    (data / good.name).with_suffix(".json").write_bytes(good.with_suffix(".json").read_bytes())
+    (data / "a.json").write_text("not json")
+    (data / "b.json").write_text("[1]")
+    (data / "c.json").write_text('{"dim_c1": 8, "dim_c2": "2"}')
+    grid = ("--k", "5,10", "--lid-grid", "5")
+    out, ref = tmp_path / "r.csv", tmp_path / "ref.csv"
+    assert run_cli("run", "--data", str(good), *grid, "--out", str(ref)) == 0
+    capsys.readouterr()
+    code = run_cli("run", "--data", str(data), *grid, "--threads", threads, "--out", str(out))
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert [line.split(": ", 2)[:2] for line in errors] == [
+        ["error", str(data / f"{name}.csv")] for name in "abc"
+    ]
+    messages = ("is not JSON", "does not hold a JSON object", "dim_c2 must be an integer, got '2'")
+    for line, name, message in zip(errors, "abc", messages):
+        assert f"sidecar {data / name}.json" in line and message in line
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_run_unlabeled_skipped_with_warning(tmp_path, capsys):
     unlabeled = tmp_path / "u.csv"
     unlabeled.write_text("a,b\n1,2\n3,4\n5,6\n7,8\n9,10\n11,12\n13,14\n")
@@ -378,6 +418,23 @@ def test_report_incomplete_grid_exit_code(records_csv, tmp_path, capsys):
         "report", "--records", str(broken), "--analysis", "ranks", "--out", str(tmp_path / "o")
     ) == 3
     assert "missing cells" in capsys.readouterr().err
+
+    # A duplicate cell is as fatal as a missing one, for every analysis.
+    with open(records_csv) as fh:
+        rows = list(csv.reader(fh))
+    rows += [rows[dao_rows[1]], rows[1]]
+    with open(broken, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    cells = sorted({(rows[1][0], rows[1][1]), (rows[dao_rows[1]][0], "dao")})
+    for analysis in ("fig1", "fig2", "tables", "ranks"):
+        assert run_cli(
+            "report", "--records", str(broken), "--analysis", analysis,
+            "--out", str(tmp_path / "o"),
+        ) == 3
+        assert capsys.readouterr().err == (
+            "error: records grid incomplete; duplicate cells: "
+            + ", ".join(f"({ds}, {det})" for ds, det in cells) + "\n"
+        )
 
 
 def test_run_threads_must_be_an_integer(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -419,6 +421,12 @@ def test_evaluate_dataset_reuses_graph(small_ds):
 
 def test_records_csv_roundtrip(tmp_path, small_ds):
     records = evaluate_dataset(small_ds, SweepConfig(k_range=[5, 10], lid_k_grid=[5, 10]))
+    # Names that csv must quote, and every optional field both set and None.
+    records += [
+        replace(records[0], dataset='a, "b" c', runtime_mean_s=0.5, runtime_std_s=0.0),
+        replace(records[-1], dataset=" d ", dim_c1=8, dim_c2=2),
+    ]
+    assert records[0].dim_c1 is None and records[0].runtime_mean_s is None
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     back = read_records_csv(path)
@@ -427,6 +435,20 @@ def test_records_csv_roundtrip(tmp_path, small_ds):
         bad = tmp_path / "bad.csv"
         bad.write_text("dataset,detector\nx,knn\n")
         read_records_csv(bad)
+
+    header, first, second = path.read_text().splitlines()[:3]
+    cells = first.split(",")  # dataset, detector, lid_estimator, best_k, ...
+    for line, column, message in [
+        (cells[:-3], "runtime_std_s", "missing cell"),  # a short row
+        (cells[:3] + ["five"] + cells[4:], "best_k", "'five'"),
+        (cells[:3] + [""] + cells[4:], "best_k", "empty cell"),
+        ([""] + cells[1:], "dataset", "empty cell"),
+    ]:
+        bad.write_text("\n".join([header, second, ",".join(line), ""]))
+        with pytest.raises(ValueError) as err:
+            read_records_csv(bad)
+        assert str(err.value).startswith(f"records file {bad}, line 3, column {column}: ")
+        assert message in str(err.value)
 
 
 def test_records_csv_write_is_atomic(tmp_path, small_ds):

@@ -32,6 +32,7 @@ from .dataset import (
     read_sidecar,
     write_csv,
     write_table,
+    write_text,
 )
 from .detectors import DETECTORS
 from .evaluation import (
@@ -296,7 +297,12 @@ def _pivot(records: list[EvalRecord]):
     return datasets, detectors, cell
 
 
-def _report_fig1(datasets, detectors, cell, out: Path) -> None:
+# An analysis returns its artifacts as (file name, content) pairs, and
+# cmd_report writes them only once every requested analysis has succeeded.
+# The content of a ``.csv`` is its (header, rows), of an ``.svg`` its
+# markup, and of a ``.txt`` its text, which is also printed.
+
+def _report_fig1(datasets, detectors, cell) -> list:
     if any(r.dim_c2 is None for r in cell.values()):
         raise IncompleteGridError(
             "fig1 needs dim_c2 metadata on every record (generate datasets with 'gen')"
@@ -311,13 +317,11 @@ def _report_fig1(datasets, detectors, cell, out: Path) -> None:
             rows.append([dim, det, mean, std, len(aucs)])
             series[det][0].append(mean)
             series[det][1].append(std)
-    write_table(
-        out / "fig1.csv", ["dim_c2", "detector", "mean_auc", "std_auc", "n_datasets"], rows
-    )
-    plots.write_svg(
-        out / "fig1.svg",
-        plots.line_plot_svg(dims, series, "intrinsic dimension of cluster 2", "ROC AUC"),
-    )
+    svg = plots.line_plot_svg(dims, series, "intrinsic dimension of cluster 2", "ROC AUC")
+    return [
+        ("fig1.csv", (["dim_c2", "detector", "mean_auc", "std_auc", "n_datasets"], rows)),
+        ("fig1.svg", svg),
+    ]
 
 
 def _auc_diff_rows(datasets, detectors, cell):
@@ -337,13 +341,10 @@ def _auc_diff_rows(datasets, detectors, cell):
     return rows, baselines
 
 
-def _report_fig2(datasets, detectors, cell, out: Path) -> None:
-    rows, baselines = _auc_diff_rows(datasets, detectors, cell)
+def _report_fig2(rows, baselines) -> list:
     pairs = [f"dao:{b}" for b in baselines] + ["dao:oracle"]
     table = [[ds, mi, disp, pair, diffs[pair]] for ds, mi, disp, diffs in rows for pair in pairs]
-    write_table(
-        out / "fig2.csv", ["dataset", "morans_I", "dispersion_R", "pair", "auc_diff"], table
-    )
+    artifacts = [("fig2.csv", (["dataset", "morans_I", "dispersion_R", "pair", "auc_diff"], table))]
     for pair in pairs:
         svg = plots.scatter_plot_svg(
             [r[1] for r in rows],
@@ -353,11 +354,11 @@ def _report_fig2(datasets, detectors, cell, out: Path) -> None:
             "dispersion R of log-LID",
             title=f"AUC difference, {pair}",
         )
-        plots.write_svg(out / f"fig2_{pair.replace(':', '_')}.svg", svg)
+        artifacts.append((f"fig2_{pair.replace(':', '_')}.svg", svg))
+    return artifacts
 
 
-def _report_tables(datasets, detectors, cell, out: Path) -> None:
-    rows, baselines = _auc_diff_rows(datasets, detectors, cell)
+def _report_tables(datasets, detectors, cell, rows, baselines) -> list:
     pairs = [f"dao:{b}" for b in baselines]
     regressors: dict[str, list[float]] = {
         "dispersion": [r[2] for r in rows],
@@ -366,28 +367,26 @@ def _report_tables(datasets, detectors, cell, out: Path) -> None:
     dao = [cell[(ds, "dao")] for ds in datasets]
     if all(r.dim_c1 is not None and r.dim_c2 is not None for r in dao):
         regressors["dimgap"] = [abs(r.dim_c1 - r.dim_c2) for r in dao]
-    lines = []
+    artifacts, lines = [], []
     for name, xs in regressors.items():
         results = {}
         for pair in pairs:
             ys = [r[3][pair] for r in rows]
             results[pair] = ols_regression(np.array(xs), np.array(ys))
         table = [[pair, res.slope, res.p_value, res.pearson_rho] for pair, res in results.items()]
-        write_table(out / f"tables_{name}.csv", ["pair", "m", "p", "rho"], table)
+        artifacts.append((f"tables_{name}.csv", (["pair", "m", "p", "rho"], table)))
         lines.append(f"regression of AUC difference on {name}:")
         for pair, res in results.items():
             lines.append(
                 f"  {pair}: m={res.slope:.5f} p={res.p_value:.3g} rho={res.pearson_rho:.3f}"
             )
-    (out / "tables.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    return artifacts + [("tables.txt", "\n".join(lines) + "\n")]
 
 
-def _report_ranks(datasets, detectors, cell, out: Path, alpha: float) -> None:
+def _report_ranks(datasets, detectors, cell, alpha: float) -> list:
     table = np.array([[cell[(ds, det)].roc_auc for det in detectors] for ds in datasets])
     avg_ranks, cd = friedman_nemenyi(table, alpha=alpha)
     table = [[det, float(rank)] for det, rank in zip(detectors, avg_ranks)]
-    write_table(out / "ranks.csv", ["detector", "avg_rank"], table)
     lines = [
         f"average ranks over {len(datasets)} datasets (1 = best):",
         *(
@@ -396,8 +395,10 @@ def _report_ranks(datasets, detectors, cell, out: Path, alpha: float) -> None:
         ),
         f"Nemenyi critical distance at alpha={alpha:g}: {cd:.4f}",
     ]
-    (out / "ranks.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    return [
+        ("ranks.csv", (["detector", "avg_rank"], table)),
+        ("ranks.txt", "\n".join(lines) + "\n"),
+    ]
 
 
 def cmd_report(args) -> int:
@@ -405,17 +406,29 @@ def cmd_report(args) -> int:
     if not records:
         raise DatasetError(f"no records in {args.records}")
     grid = _pivot(records)
+    diffs = None  # _auc_diff_rows, computed once for fig2 and tables
+    artifacts = []
+    for analysis in args.analysis:
+        if analysis in ("fig2", "tables") and diffs is None:
+            diffs = _auc_diff_rows(*grid)
+        if analysis == "fig1":
+            artifacts += _report_fig1(*grid)
+        elif analysis == "fig2":
+            artifacts += _report_fig2(*diffs)
+        elif analysis == "tables":
+            artifacts += _report_tables(*grid, *diffs)
+        elif analysis == "ranks":
+            artifacts += _report_ranks(*grid, args.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for analysis in args.analysis:
-        if analysis == "fig1":
-            _report_fig1(*grid, out)
-        elif analysis == "fig2":
-            _report_fig2(*grid, out)
-        elif analysis == "tables":
-            _report_tables(*grid, out)
-        elif analysis == "ranks":
-            _report_ranks(*grid, out, args.alpha)
+    for name, content in artifacts:
+        if name.endswith(".csv"):
+            write_table(out / name, *content)
+        elif name.endswith(".svg"):
+            plots.write_svg(out / name, content)
+        else:
+            write_text(out / name, content)
+            print(content, end="")
     print(f"report artifacts written to {out}")
     return 0
 

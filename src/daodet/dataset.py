@@ -22,6 +22,8 @@ import numpy as np
 # Below this max per-column distinct-value fraction a dataset is considered
 # effectively discrete and the CLI emits a warning.
 DISTINCTNESS_WARN_THRESHOLD = 0.20
+# The label cells: "1" marks an outlier, "0" an inlier.
+_LABELS = {"1": 1, "0": 0}
 
 
 class DatasetError(ValueError):
@@ -102,30 +104,16 @@ def _looks_like_header(row: list[str]) -> bool:
     return False
 
 
-def _label_index(
-    label_column: str | int | None, header: list[str] | None, width: int, path: Path
-) -> int | None:
-    """The 0-based label column, or None when the file is unlabeled.
-
-    ``width`` is the cell count of the file's first row. An index beyond a
-    row is reported per row by the parsers; a negative one is rejected here.
-    """
+def _label_index(label_column: str | None, header: list[str] | None, path: Path) -> int | None:
+    """The 0-based label column, or None when the file is unlabeled."""
     if label_column is None:
         return None
-    if isinstance(label_column, int):
-        if label_column < 0:
-            raise DatasetError(
-                f"label column {label_column} is out of range [0, {width}) in {path}"
-            )
-        return label_column
     if header is None or label_column not in header:
         raise MissingLabelColumn(f"label column {label_column!r} not found in {path}")
     return header.index(label_column)
 
 
-def _read_cells(
-    path: Path, label_column: str | int | None, outlier_token: str, inlier_token: str
-) -> tuple[np.ndarray, list[int] | None]:
+def _read_cells(path: Path, label_column: str | None) -> tuple[np.ndarray, list[int] | None]:
     """Parse ``path`` cell by cell: the reference parser and the error reporter.
 
     Every malformed input raises the DatasetError naming its first bad row
@@ -140,7 +128,7 @@ def _read_cells(
     header: list[str] | None = None
     if _looks_like_header(rows[0]):
         header = [cell.strip() for cell in rows[0]]
-    label_idx = _label_index(label_column, header, len(rows[0]), path)
+    label_idx = _label_index(label_column, header, path)
     if header is not None:
         rows = rows[1:]
 
@@ -150,15 +138,9 @@ def _read_cells(
             if label_idx >= len(row):
                 raise DatasetError(f"row {r} too short for label column {label_idx}")
             token = row[label_idx].strip()
-            if token == outlier_token:
-                labels.append(1)
-            elif token == inlier_token:
-                labels.append(0)
-            else:
-                raise DatasetError(
-                    f"label token {token!r} at row {r} is neither "
-                    f"{outlier_token!r} nor {inlier_token!r}"
-                )
+            if token not in _LABELS:
+                raise DatasetError(f"label token {token!r} at row {r} is neither '1' nor '0'")
+            labels.append(_LABELS[token])
             row = row[:label_idx] + row[label_idx + 1 :]
         points.append([_parse_cell(cell.strip(), r, c) for c, cell in enumerate(row)])
 
@@ -168,9 +150,7 @@ def _read_cells(
     return np.array(points, dtype=np.float64), labels if label_idx is not None else None
 
 
-def _read_fast(
-    path: Path, label_column: str | int | None, outlier_token: str, inlier_token: str
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _read_fast(path: Path, label_column: str | None) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse ``path`` with one ``np.loadtxt`` call.
 
     Returns what ``_read_cells`` returns for the same file, bit for bit, or
@@ -192,18 +172,16 @@ def _read_fast(
     if not first:
         raise ValueError("no rows")
     header = [cell.strip() for cell in first] if _looks_like_header(first) else None
-    label_idx = _label_index(label_column, header, len(first), path)
+    label_idx = _label_index(label_column, header, path)
     body = text[stop + 1 :] if header is not None else text[start:]
     if not body.strip("\n"):
         raise ValueError("no data rows")
 
     def label_value(cell: str) -> float:
         token = cell.strip()
-        if token == outlier_token:
-            return 1.0
-        if token == inlier_token:
-            return 0.0
-        raise ValueError(f"label token {token!r}")
+        if token not in _LABELS:
+            raise ValueError(f"label token {token!r}")
+        return _LABELS[token]
 
     table = np.loadtxt(
         io.StringIO(body),
@@ -219,33 +197,25 @@ def _read_fast(
     return np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64)
 
 
-def load_csv(
-    path: str | Path,
-    label_column: str | int | None = None,
-    *,
-    outlier_token: str = "1",
-    inlier_token: str = "0",
-    name: str | None = None,
-) -> Dataset:
-    """Read a comma-separated file into a Dataset.
+def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
+    """Read a comma-separated file into a Dataset named by the file stem.
 
     Cells use Python ``float`` syntax; there are no comment lines. The
     first row is treated as a header iff it contains any non-numeric cell.
-    ``label_column`` selects the label column by header name or 0-based
-    index (in range for every row); its cells must match
-    ``outlier_token``/``inlier_token``. Duplicate coordinate rows (equal by
-    value, so 0.0 matches -0.0) are dropped, first occurrence (and its
+    ``label_column`` names the label column in the header; its cells must
+    be ``1`` (outlier) or ``0`` (inlier). Duplicate coordinate rows (equal
+    by value, so 0.0 matches -0.0) are dropped, first occurrence (and its
     label) wins; the count is recorded on ``Dataset.dropped_duplicates``.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
     try:
-        pts, labels = _read_fast(path, label_column, outlier_token, inlier_token)
+        pts, labels = _read_fast(path, label_column)
     except MissingLabelColumn:  # decided from the first row, as _read_cells would
         raise
     except ValueError:
-        pts, labels = _read_cells(path, label_column, outlier_token, inlier_token)
+        pts, labels = _read_cells(path, label_column)
 
     # Dedup by value, the rule Dataset checks (so 0.0 equals -0.0); the
     # first occurrence wins and row order is kept.
@@ -255,12 +225,7 @@ def load_csv(
     if pts.shape[0] < 2:
         raise DatasetError(f"fewer than 2 distinct points remain after dedup in {path}")
     lab = np.asarray(labels, dtype=np.int64)[keep] if labels is not None else None
-    return Dataset(
-        points=pts,
-        labels=lab,
-        name=name if name is not None else path.stem,
-        dropped_duplicates=dropped,
-    )
+    return Dataset(points=pts, labels=lab, name=path.stem, dropped_duplicates=dropped)
 
 
 @contextmanager
@@ -282,7 +247,7 @@ def _replacing(path: str | Path) -> Iterator[Path]:
 
 
 def _write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write a CSV file in one ``write``, as ``csv.writer`` would write it.
+    """Write a CSV file atomically in one ``write``, as ``csv.writer`` would.
 
     ``rows`` hold Python floats and ints (not numpy scalars, whose ``repr``
     differs); each cell is its ``repr``, which ``csv.writer`` also uses and
@@ -292,8 +257,13 @@ def _write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -
     lines = [",".join(header)]
     lines += [",".join(map(repr, row)) for row in rows]
     lines.append("")
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+    write_text(path, "\r\n".join(lines))
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (see ``_replacing``), untranslated."""
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
+        fh.write(text)
 
 
 def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -312,7 +282,8 @@ def write_csv(dataset: Dataset, path: str | Path, sidecar: dict | None = None) -
 
     Floats are written with ``repr`` so that load -> write -> load round-trips
     bit-exactly. A JSON sidecar ``<path stem>.json`` records name/seed plus
-    any extra generator metadata passed via ``sidecar``.
+    any extra generator metadata passed via ``sidecar``. Each file is
+    written atomically.
     """
     path = Path(path)
     cols = [f"x{j}" for j in range(dataset.dim)]
@@ -326,9 +297,7 @@ def write_csv(dataset: Dataset, path: str | Path, sidecar: dict | None = None) -
     if sidecar:
         meta.update(sidecar)
     sidecar_path = path.with_suffix(".json")
-    with open(sidecar_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(sidecar_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return sidecar_path
 
 

@@ -127,7 +127,7 @@ def morans_I(values: np.ndarray, graph: NeighborGraph, k: int) -> float:
 
 
 def morans_I_maxmag(
-    values: np.ndarray, graph: NeighborGraph, k_range: Iterable[int] = DEFAULT_K_RANGE
+    values: np.ndarray, graph: NeighborGraph, k_range: Iterable[int]
 ) -> tuple[float, int]:
     """The (I, k) maximizing |I| over k_range; ties take the smallest k."""
     best: tuple[float, int] | None = None

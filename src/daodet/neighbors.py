@@ -302,14 +302,14 @@ def save_graph(graph: NeighborGraph, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(graph.distances, dtype="<f8"))
 
 
-def load_graph(
-    path: str | Path, n_features: int, n: int | None = None, kmax: int | None = None
-) -> NeighborGraph:
+def load_graph(path: str | Path, n_features: int, n: int, kmax: int) -> NeighborGraph:
     """Read a graph written by save_graph.
 
-    Raises ValueError naming the file unless its size is 8 + 12*n*kmax for
-    the {n, kmax} in its header, that header equals ``n`` and ``kmax`` where
-    they are given, and every index is below n.
+    Raises ValueError naming the file unless its size is 8 + 12*n*kmax, its
+    header holds ``n`` and ``kmax``, every index is below n and is not the
+    row's own point, and every row's distances are finite, positive and
+    non-decreasing: the structure of every graph that build_neighbor_graph
+    returns.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -323,20 +323,30 @@ def load_graph(
                 f"corrupt graph cache file {path}: {size} bytes, header n={file_n}"
                 f" kmax={file_kmax} needs {8 + 12 * count}"
             )
-        if (n is not None and file_n != n) or (kmax is not None and file_kmax != kmax):
+        if file_n != n or file_kmax != kmax:
             raise ValueError(
                 f"corrupt graph cache file {path}: header n={file_n} kmax={file_kmax},"
                 f" expected n={n} kmax={kmax}"
             )
-        indices = np.fromfile(fh, dtype="<u4", count=count)
-        distances = np.fromfile(fh, dtype="<f8", count=count)
-    if count and indices.max() >= file_n:
-        raise ValueError(f"corrupt graph cache file {path}: neighbor index >= n={file_n}")
+        indices = np.fromfile(fh, dtype="<u4", count=count).reshape(n, kmax)
+        distances = np.fromfile(fh, dtype="<f8", count=count).reshape(n, kmax)
+    problem = None
+    if indices.max(initial=0) >= n:
+        problem = f"neighbor index >= n={n}"
+    elif (indices == np.arange(n, dtype=np.uint32)[:, None]).any():
+        problem = "a row lists its own point"
+    elif not (
+        # A NaN fails every comparison, so the pass over neighboring columns
+        # rules it out, and the first and last columns bound the rest.
+        (distances[:, :1] > 0.0).all()
+        and (distances[:, 1:] >= distances[:, :-1]).all()
+        and (distances[:, -1:] < np.inf).all()
+    ):
+        problem = "a row's distances are not positive, finite and non-decreasing"
+    if problem is not None:
+        raise ValueError(f"corrupt graph cache file {path}: {problem}")
     return NeighborGraph(
-        indices=indices.astype(np.int64).reshape(file_n, file_kmax),
-        distances=distances.reshape(file_n, file_kmax),
-        kmax=int(file_kmax),
-        n_features=n_features,
+        indices=indices.astype(np.int64), distances=distances, kmax=kmax, n_features=n_features
     )
 
 
@@ -353,7 +363,7 @@ def cached_neighbor_graph(
     path = cache_dir / f"{graph_cache_key(points, kmax)}.knn"
     if path.exists():
         try:
-            return load_graph(path, n_features=points.shape[1], n=points.shape[0], kmax=kmax)
+            return load_graph(path, points.shape[1], points.shape[0], kmax)
         except ValueError as exc:
             warnings.warn(f"rebuilding graph cache entry: {exc}", stacklevel=2)
     graph = build_neighbor_graph(points, kmax)

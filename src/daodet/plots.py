@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .dataset import write_text
+
 _WIDTH, _HEIGHT = 640, 440
 _MARGIN = 64
 
@@ -125,4 +127,4 @@ def _document(parts: list[str]) -> str:
 
 
 def write_svg(path: str | Path, content: str) -> None:
-    Path(path).write_text(content)
+    write_text(path, content)

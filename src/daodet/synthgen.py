@@ -24,25 +24,25 @@ import numpy as np
 from .dataset import Dataset
 
 
+# The fixed protocol above; an overlapping dataset is regenerated at most
+# MAX_RETRIES times.
+OUTLIER_QUANTILE = 0.95
+REJECT_QUANTILE = 0.99999
+TRANSLATION_RANGE = (-10.0, 10.0)
+MAX_RETRIES = 1000
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     ambient_dim: int = 32
     cluster_size: int = 800
     dim_c1: int = 8
     dim_c2: int = 8
-    outlier_quantile: float = 0.95
-    reject_quantile: float = 0.99999
-    translation_range: tuple[float, float] = (-10.0, 10.0)
     seed: int = 0
-    max_retries: int = 1000
 
     def __post_init__(self):
         if not (1 <= self.dim_c1 <= self.ambient_dim and 1 <= self.dim_c2 <= self.ambient_dim):
             raise ValueError("cluster dimensions must lie in [1, ambient_dim]")
-        if not (0.0 < self.outlier_quantile < 1.0 and 0.0 < self.reject_quantile < 1.0):
-            raise ValueError("quantiles must lie in (0, 1)")
-        if self.reject_quantile <= self.outlier_quantile:
-            raise ValueError("reject_quantile must exceed outlier_quantile")
         if self.cluster_size < 2:
             raise ValueError("cluster_size must be at least 2")
 
@@ -77,27 +77,15 @@ class GenReport:
 
 
 def chi2_quantile(m: int, p: float) -> float:
-    """Inverse chi-square CDF by bisection on the regularized lower
-    incomplete gamma, to absolute tolerance 1e-10."""
+    """Inverse chi-square CDF: twice the inverse regularized lower
+    incomplete gamma at shape m/2."""
     if m < 1 or int(m) != m:
         raise ValueError(f"degrees of freedom must be a positive integer, got {m}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
     from scipy import special  # imported here: only generation needs it
 
-    def cdf(x: float) -> float:
-        return special.gammainc(m / 2.0, x / 2.0)
-
-    lo, hi = 0.0, float(max(m, 1))
-    while cdf(hi) < p:
-        hi *= 2.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 2.0 * float(special.gammaincinv(m / 2.0, p))
 
 
 def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -125,10 +113,10 @@ def _attempt(spec: SynthSpec, rng: np.random.Generator):
         # Squared Mahalanobis to the cluster's own center (the origin) under
         # the generating covariance: just the squared norm on the subspace.
         maha = (gauss**2).sum(axis=1)
-        labels.append((maha > chi2_quantile(dim, spec.outlier_quantile)).astype(np.int64))
+        labels.append((maha > chi2_quantile(dim, OUTLIER_QUANTILE)).astype(np.int64))
         subspaces.append(axes)
         clouds.append(cloud)
-    lo, hi = spec.translation_range
+    lo, hi = TRANSLATION_RANGE
     translations = [rng.uniform(lo, hi, size=amb) for _ in dims]
     rotation = random_rotation(rng, amb)
 
@@ -136,7 +124,7 @@ def _attempt(spec: SynthSpec, rng: np.random.Generator):
     # Rejection test (pre-rotation; the rotation is an isometry of both
     # quadratic forms): a point inside both clusters' reject shells means
     # the clusters overlap.
-    reject_r = [chi2_quantile(d, spec.reject_quantile) for d in dims]
+    reject_r = [chi2_quantile(d, REJECT_QUANTILE) for d in dims]
     inside = [
         (((shifted - translations[i])[:, subspaces[i]]) ** 2).sum(axis=1) < reject_r[i]
         for i in range(2)
@@ -156,7 +144,7 @@ def _attempt(spec: SynthSpec, rng: np.random.Generator):
 def generate(spec: SynthSpec) -> tuple[Dataset, GenReport]:
     """Generate one benchmark dataset; rejected attempts regenerate fully."""
     rng = np.random.default_rng(spec.seed)
-    for rejections in range(spec.max_retries + 1):
+    for rejections in range(MAX_RETRIES + 1):
         result = _attempt(spec, rng)
         if result is not None:
             points, lab, per_cluster, transform = result
@@ -171,7 +159,7 @@ def generate(spec: SynthSpec) -> tuple[Dataset, GenReport]:
             )
             return dataset, report
     raise RuntimeError(
-        f"cluster overlap persisted for {spec.max_retries} regenerations (seed {spec.seed})"
+        f"cluster overlap persisted for {MAX_RETRIES} regenerations (seed {spec.seed})"
     )
 
 
@@ -210,9 +198,9 @@ def sidecar_metadata(spec: SynthSpec, report: GenReport) -> dict:
         "cluster_size": spec.cluster_size,
         "dim_c1": spec.dim_c1,
         "dim_c2": spec.dim_c2,
-        "outlier_quantile": spec.outlier_quantile,
-        "reject_quantile": spec.reject_quantile,
-        "translation_range": list(spec.translation_range),
+        "outlier_quantile": OUTLIER_QUANTILE,
+        "reject_quantile": REJECT_QUANTILE,
+        "translation_range": list(TRANSLATION_RANGE),
         "rejections": report.rejections,
         "outliers_c1": report.outliers_c1,
         "outliers_c2": report.outliers_c2,

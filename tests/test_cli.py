@@ -437,6 +437,35 @@ def test_report_incomplete_grid_exit_code(records_csv, tmp_path, capsys):
         )
 
 
+def test_report_writes_nothing_unless_every_analysis_succeeds(records_csv, tmp_path, capsys):
+    with open(records_csv) as fh:
+        rows = list(csv.reader(fh))
+    out = tmp_path / "o"
+
+    # ranks succeeds, then fig1 finds no dim_c2
+    col = rows[0].index("dim_c2")
+    blank = tmp_path / "blank.csv"
+    with open(blank, "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0]] + [r[:col] + [""] + r[col + 1 :] for r in rows[1:]])
+    assert run_cli(
+        "report", "--records", str(blank), "--analysis", "ranks", "fig1", "--out", str(out)
+    ) == 3
+    assert capsys.readouterr().err == (
+        "error: fig1 needs dim_c2 metadata on every record (generate datasets with 'gen')\n"
+    )
+    assert not out.exists()
+
+    # fig1 succeeds, then tables has one dataset to regress
+    single = tmp_path / "single.csv"
+    with open(single, "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0]] + [r for r in rows[1:] if r[0] == rows[1][0]])
+    assert run_cli(
+        "report", "--records", str(single), "--analysis", "fig1", "tables", "--out", str(out)
+    ) == 2
+    assert capsys.readouterr().err == "error: need at least 3 points\n"
+    assert not out.exists()
+
+
 def test_run_threads_must_be_an_integer(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "r.csv")
     assert run_cli("run", "--data", "x.csv", "--threads", "abc", "--out", out) == 1

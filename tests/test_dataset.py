@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,8 +35,8 @@ def test_dedup_drops_exact_duplicates(tmp_path):
 
 def test_dedup_treats_signed_zeros_as_equal(tmp_path):
     # Dataset compares rows by value, so load_csv must dedup by value too.
-    path = write_lines(tmp_path / "z.csv", ["0.0,1.0,0", "-0.0,1.0,0", "2.0,3.0,1"])
-    ds = load_csv(path, label_column=2)
+    path = write_lines(tmp_path / "z.csv", ["a,b,label", "0.0,1.0,0", "-0.0,1.0,0", "2.0,3.0,1"])
+    ds = load_csv(path, label_column="label")
     assert ds.dropped_duplicates == 1
     np.testing.assert_array_equal(ds.points, [[0.0, 1.0], [2.0, 3.0]])
     assert not np.signbit(ds.points[0, 0])  # the first occurrence wins
@@ -47,6 +48,14 @@ def test_label_passthrough(tmp_path):
     ds = load_csv(path, label_column="label")
     np.testing.assert_array_equal(ds.labels, [0, 0, 1])
     assert ds.points.shape == (3, 2)
+    # labels are the tokens 1 and 0 only
+    path = write_lines(tmp_path / "d.csv", ["a,b,label", "0,0,0", "1,0,1", "9,9,ok"])
+    with pytest.raises(DatasetError) as err:
+        load_csv(path, label_column="label")
+    assert str(err.value) == "label token 'ok' at row 2 is neither '1' nor '0'"
+    path = write_lines(tmp_path / "d.csv", ["a,b,label", "0,0,0", "1,1"])
+    with pytest.raises(DatasetError, match="row 1 too short for label column 2"):
+        load_csv(path, label_column="label")
 
 
 def test_nan_cell_rejected(tmp_path):
@@ -90,31 +99,6 @@ def test_first_occurrence_label_wins(tmp_path):
     np.testing.assert_array_equal(ds.labels, [1, 0])
 
 
-def test_label_column_by_index_without_header(tmp_path):
-    path = write_lines(tmp_path / "d.csv", ["1,2,0", "3,4,1", "5,6,0"])
-    ds = load_csv(path, label_column=2)
-    np.testing.assert_array_equal(ds.labels, [0, 1, 0])
-    assert ds.points.shape == (3, 2)
-
-
-def test_label_index_must_be_in_range(tmp_path):
-    path = write_lines(tmp_path / "d.csv", ["1.0,2.0,0", "3.0,4.0,1", "5.0,6.0,0"])
-    # A negative index used to pass through Python slicing and keep the
-    # label (and every other cell) as features: [1, 2, 0, 1, 2].
-    with pytest.raises(DatasetError, match=r"label column -1 is out of range \[0, 3\)"):
-        load_csv(path, label_column=-1)
-    with pytest.raises(DatasetError, match="row 0 too short for label column 3"):
-        load_csv(path, label_column=3)
-
-
-def test_custom_label_tokens(tmp_path):
-    path = write_lines(tmp_path / "d.csv", ["a,b,label", "1,2,anom", "3,4,ok"])
-    ds = load_csv(path, label_column="label", outlier_token="anom", inlier_token="ok")
-    np.testing.assert_array_equal(ds.labels, [1, 0])
-    with pytest.raises(DatasetError, match="label token"):
-        load_csv(path, label_column="label")
-
-
 def test_dataset_invariants():
     with pytest.raises(DatasetError, match="non-finite"):
         Dataset(points=np.array([[1.0, np.inf], [0.0, 0.0]]))
@@ -147,7 +131,8 @@ def test_roundtrip_preserves_dataset(tmp_path):
         ds = Dataset(points=ds.points, labels=np.r_[1, ds.labels[1:]], name="round", seed=7)
     out = tmp_path / "round.csv"
     write_csv(ds, out, sidecar={"extra": 42})
-    back = load_csv(out, label_column="label", name="round")
+    back = load_csv(out, label_column="label")
+    assert back.name == "round"  # the file stem
     np.testing.assert_array_equal(back.points, ds.points)
     np.testing.assert_array_equal(back.labels, ds.labels)
     meta = read_sidecar(out)
@@ -212,33 +197,30 @@ _HOSTILE = st.sampled_from([
     "\x0c4", "\xa05", "5\x1c", "\x0b6", "7\x1f", "\u30008", "9\u2029", "\u200b1", "1\x00",
     "\u2028", "\x85", "1.5d3", "1..5", "+-1", "e5", "infi", "yes", "no", "o", "i",
 ])
-_PLAIN_TOKENS = [("1", "0"), ("o", "i"), ("yes", "no"), ("x", "x"), ("1.0", "0"), ("\u0661", "0")]
-_ODD_TOKENS = [(" 1", "0"), ('"a"', "b"), ("a,b", "c"), ("", "0")]
+# Label cells that are neither "1" nor "0", though some read as numbers.
+_ODD_LABELS = ["1.0", "01", "+1", "-0", " ", "", "o", "label", '"1"', "\u0661", "1 0"]
 
 
 @st.composite
 def _csv_files(draw, hostile):
-    """(file text, label_column, (outlier, inlier) tokens).
+    """(file text, label_column).
 
-    With ``hostile=False`` every row parses and the label column is valid,
-    so the fast path must take the file. ``hostile=True`` adds a BOM, odd
-    label tokens, bad label columns and up to three edits: a bad cell, a
-    row's length, a blank or whitespace-only line, a trailing comma.
+    With ``hostile=False`` every row parses and the label column, when one
+    is named, is in the header, so the fast path must take the file.
+    ``hostile=True`` adds a BOM, odd label cells, missing and misnamed label
+    columns and up to three edits: a bad cell, a row's length, a blank or
+    whitespace-only line, a trailing comma.
     """
     width = draw(st.integers(0, 4))  # 0 with a label: a label-only file
     labeled = draw(st.booleans()) or (width == 0 and not hostile)
     label_pos = draw(st.integers(0, width)) if labeled else None
-    tokens = ("1", "0")
-    if labeled:
-        tokens = draw(st.sampled_from(_PLAIN_TOKENS + (_ODD_TOKENS if hostile else [])))
+    label_cells = st.sampled_from(["1", "0"] + (_ODD_LABELS if hostile else []))
     pad = st.sampled_from(["", " ", "\t", "\xa0 "])  # whitespace both parsers strip
 
     def padded(cell):
         return draw(pad) + cell + draw(pad)
 
-    # Without a header row, the first row still reads as one when it holds
-    # a non-numeric label token, so a clean file has at least two rows.
-    n_rows = draw(st.integers(0 if hostile else 2, 6))
+    n_rows = draw(st.integers(0 if hostile else 1, 6))
     rows = []
     for _ in range(n_rows):
         if rows and draw(st.integers(0, 3)) == 0:
@@ -246,7 +228,7 @@ def _csv_files(draw, hostile):
             continue
         row = [padded(cell) for cell in draw(st.lists(_FINITE, min_size=width, max_size=width))]
         if labeled:
-            row.insert(label_pos, padded(draw(st.sampled_from(tokens))))
+            row.insert(label_pos, padded(draw(label_cells)))
         rows.append(row)
     names = [f"x{j}" for j in range(width)]
     if labeled:
@@ -278,12 +260,11 @@ def _csv_files(draw, hostile):
     if hostile and draw(st.booleans()):
         text = "\ufeff" + text
 
-    choices = [label_pos] if labeled else [None]
-    if labeled and header != "none":
-        choices.append("label")
+    # A header-less labeled file is read unlabeled, its labels as features.
+    choices = ["label"] if labeled and header != "none" else [None]
     if hostile:
-        choices += [None, -1, width + 1, "missing"]
-    return text, draw(st.sampled_from(choices)), tokens
+        choices += [None, "label", "missing", "x0"]  # "x0" reads a feature column as labels
+    return text, draw(st.sampled_from(choices))
 
 
 def _write_case(tmp_path_factory, text):
@@ -295,19 +276,20 @@ def _write_case(tmp_path_factory, text):
 @settings(max_examples=400, deadline=None)
 @given(_csv_files(hostile=True))
 def test_fast_loader_matches_cell_parser(tmp_path_factory, case):
-    text, label_column, (outlier, inlier) = case
+    text, label_column = case
     path = _write_case(tmp_path_factory, text)
-    kwargs = dict(label_column=label_column, outlier_token=outlier, inlier_token=inlier)
-    assert _outcome(load_csv, path, **kwargs) == _outcome(_load_cell_by_cell, path, **kwargs)
+    assert _outcome(load_csv, path, label_column=label_column) == _outcome(
+        _load_cell_by_cell, path, label_column=label_column
+    )
 
 
 @settings(max_examples=200, deadline=None)
 @given(_csv_files(hostile=False))
 def test_clean_files_take_the_fast_path(tmp_path_factory, case):
-    text, label_column, (outlier, inlier) = case
+    text, label_column = case
     path = _write_case(tmp_path_factory, text)
-    pts, labels = dataset._read_fast(path, label_column, outlier, inlier)  # must not fall back
-    ref_pts, ref_labels = dataset._read_cells(path, label_column, outlier, inlier)
+    pts, labels = dataset._read_fast(path, label_column)  # must not fall back
+    ref_pts, ref_labels = dataset._read_cells(path, label_column)
     assert (pts.shape, pts.tobytes()) == (ref_pts.shape, ref_pts.tobytes())
     assert (None if labels is None else labels.tolist()) == ref_labels
 
@@ -374,6 +356,33 @@ def test_written_file_loads_without_the_cell_parser(tmp_path, monkeypatch):
     back = load_csv(tmp_path / "d.csv", label_column="label")
     assert back.points.tobytes() == ds.points.tobytes()
     np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+@pytest.mark.parametrize("victim", ["d.csv", "d.json", "lid.csv", "fig.svg"])
+def test_write_csv_profile_and_svg_are_atomic(tmp_path, monkeypatch, victim):
+    from daodet.lid import LidProfile, write_profile_csv
+    from daodet.plots import write_svg
+
+    def write_all(points, ids, svg):
+        write_csv(Dataset(points=points, labels=[0] * (len(points) - 1) + [1]), tmp_path / "d.csv")
+        ids = np.array(ids)
+        write_profile_csv(LidProfile("mle", 5, ids, np.log(ids)), tmp_path / "lid.csv")
+        write_svg(tmp_path / "fig.svg", svg)
+
+    write_all([[0.0], [1.0]], [1.0, 2.0], "<svg/>")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    replace = dataset.os.replace
+
+    def dies_before_renaming(src, dst):
+        if Path(dst).name == victim:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(dataset.os, "replace", dies_before_renaming)
+    with pytest.raises(OSError, match="disk full"):
+        write_all([[0.0], [1.0], [2.0]], [3.0, 4.0, 5.0], "<svg></svg>")
+    assert (tmp_path / victim).read_bytes() == before[victim]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
 
 
 def test_missing_label_column_is_decided_without_the_cell_parser(tmp_path, monkeypatch):

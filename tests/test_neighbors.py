@@ -489,7 +489,7 @@ def test_cache_roundtrip_and_format(tmp_path, rng):
     g = build_neighbor_graph(pts, kmax=7)
     path = tmp_path / "g.knn"
     save_graph(g, path)
-    back = load_graph(path, n_features=3)
+    back = load_graph(path, n_features=3, n=40, kmax=7)
     np.testing.assert_array_equal(back.indices, g.indices)
     np.testing.assert_array_equal(back.distances, g.distances)
 
@@ -536,8 +536,38 @@ def _index_out_of_range(raw, n, kmax):
     return raw[:8] + struct.pack("<I", n) + raw[12:]
 
 
+def _distance_block(raw, n, kmax):
+    return np.frombuffer(raw, dtype="<f8", offset=8 + 4 * n * kmax).copy()
+
+
+def _nan_distance(raw, n, kmax):
+    dist = _distance_block(raw, n, kmax)
+    dist[3] = np.nan
+    return raw[: 8 + 4 * n * kmax] + dist.tobytes()
+
+
+def _self_index(raw, n, kmax):  # row 0 lists point 0
+    return raw[:8] + struct.pack("<I", 0) + raw[12:]
+
+
+def _swapped_distances(raw, n, kmax):  # row 0's first two distances, now decreasing
+    dist = _distance_block(raw, n, kmax)
+    assert dist[0] < dist[1]
+    dist[[0, 1]] = dist[[1, 0]]
+    return raw[: 8 + 4 * n * kmax] + dist.tobytes()
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_truncate, _swap_header, _grow_header_n, _index_out_of_range]
+    "corrupt",
+    [
+        _truncate,
+        _swap_header,
+        _grow_header_n,
+        _index_out_of_range,
+        _nan_distance,
+        _self_index,
+        _swapped_distances,
+    ],
 )
 def test_corrupt_cache_entry_is_rebuilt(corrupt, tmp_path, rng):
     pts = rng.standard_normal((25, 2))

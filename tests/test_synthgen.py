@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from daodet import synthgen
 from daodet.synthgen import (
     SynthSpec,
     chi2_quantile,
@@ -88,8 +89,8 @@ def test_labels_reproduce_in_rotated_frame():
     ds, report = generate(spec)
     size = spec.cluster_size
     thresholds = [
-        chi2_quantile(spec.dim_c1, spec.outlier_quantile),
-        chi2_quantile(spec.dim_c2, spec.outlier_quantile),
+        chi2_quantile(spec.dim_c1, synthgen.OUTLIER_QUANTILE),
+        chi2_quantile(spec.dim_c2, synthgen.OUTLIER_QUANTILE),
     ]
     for c, (start, stop) in enumerate([(0, size), (size, 2 * size)]):
         maha = report.transform.mahalanobis_sq(ds.points[start:stop], c)
@@ -100,8 +101,8 @@ def test_rejection_shells_are_disjoint():
     for seed in range(6):
         spec = small_spec(seed=seed, dim_c2=2)
         ds, report = generate(spec)
-        r1 = chi2_quantile(spec.dim_c1, spec.reject_quantile)
-        r2 = chi2_quantile(spec.dim_c2, spec.reject_quantile)
+        r1 = chi2_quantile(spec.dim_c1, synthgen.REJECT_QUANTILE)
+        r2 = chi2_quantile(spec.dim_c2, synthgen.REJECT_QUANTILE)
         inside1 = report.transform.mahalanobis_sq(ds.points, 0) < r1
         inside2 = report.transform.mahalanobis_sq(ds.points, 1) < r2
         assert not np.any(inside1 & inside2)
@@ -159,21 +160,18 @@ def test_suite_specs_seed_schedule_is_replicate_major():
         suite_specs(1, [33])
 
 
-def test_retry_cap_reports_seed():
+def test_retry_cap_reports_seed(monkeypatch):
     # zero translation keeps both clusters at the origin, so every attempt
     # finds points inside both reject shells and regenerates
-    spec = SynthSpec(
-        cluster_size=50, dim_c2=4, seed=77, translation_range=(0.0, 0.0), max_retries=3
-    )
-    with pytest.raises(RuntimeError, match="seed 77"):
-        generate(spec)
+    monkeypatch.setattr(synthgen, "TRANSLATION_RANGE", (0.0, 0.0))
+    monkeypatch.setattr(synthgen, "MAX_RETRIES", 3)
+    with pytest.raises(RuntimeError, match=r"persisted for 3 regenerations \(seed 77\)"):
+        generate(SynthSpec(cluster_size=50, dim_c2=4, seed=77))
 
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="dimensions"):
         SynthSpec(dim_c2=33)
-    with pytest.raises(ValueError, match="quantile"):
-        SynthSpec(outlier_quantile=0.999995)
     with pytest.raises(ValueError, match="cluster_size"):
         SynthSpec(cluster_size=1)
 

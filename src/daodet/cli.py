@@ -89,18 +89,23 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
-def _check_distinctness(ds: Dataset) -> None:
+def _check_distinctness(ds: Dataset) -> list[str]:
+    """The warning line for a dataset with only coarse attributes, if any."""
     frac = feature_distinctness(ds)
-    if frac.max() < DISTINCTNESS_WARN_THRESHOLD:
-        _warn(
-            f"dataset {ds.name!r}: no attribute spans at least "
-            f"{DISTINCTNESS_WARN_THRESHOLD:.0%} distinct values "
-            f"(max {frac.max():.1%}); detectors assume continuous features"
-        )
+    if frac.max() >= DISTINCTNESS_WARN_THRESHOLD:
+        return []
+    return [
+        f"warning: dataset {ds.name!r}: no attribute spans at least "
+        f"{DISTINCTNESS_WARN_THRESHOLD:.0%} distinct values "
+        f"(max {frac.max():.1%}); detectors assume continuous features"
+    ]
+
+
+def _cache_warning(ds: Dataset, problem: str | None) -> list[str]:
+    """The warning line for a corrupt cache entry that was rebuilt, if any."""
+    if problem is None:
+        return []
+    return [f"warning: dataset {ds.name!r}: rebuilding graph cache entry: {problem}"]
 
 
 # ---------------------------------------------------------------------------
@@ -161,48 +166,43 @@ def _load_for_run(path: Path, label_column: str) -> Dataset:
 
 def _run_one(
     task: tuple[str, str, SweepConfig, str | None, bool],
-) -> tuple[str, list[EvalRecord] | None, str | None]:
+) -> tuple[list[EvalRecord] | None, list[str], bool]:
     """Evaluate one dataset file.
 
-    Returns (path, records, error): records is None when the file is
-    unlabeled or fails, and error is the message of a data or I/O failure,
-    so one bad file does not stop the others (also under a process pool).
+    Returns (records, lines, failed): records is None when the file is
+    unlabeled or fails, lines are its stderr lines in the order they arose,
+    and failed marks a data or I/O failure, so one bad file does not stop
+    the others (also under a process pool). cmd_run prints the lines.
     """
     path_s, label_column, config, cache, timing = task
+    lines: list[str] = []
     try:
-        return path_s, _evaluate_file(Path(path_s), label_column, config, cache, timing), None
-    except (ValueError, OSError) as exc:  # DatasetError is a ValueError
-        return path_s, None, str(exc)
-
-
-def _evaluate_file(
-    path: Path, label_column: str, config: SweepConfig, cache: str | None, timing: bool
-) -> list[EvalRecord] | None:
-    """The records of one dataset file, or None if it is unlabeled."""
-    ds = _load_for_run(path, label_column)
-    _check_distinctness(ds)
-    if ds.labels is None:
-        return None
-    meta = read_sidecar(path) or {}
-    det_ks, lid_ks, kmax = config.grids(ds.n)
-    if len(det_ks) < len(config.k_range):
-        _warn(f"dataset {ds.name!r}: k range truncated to <= {ds.n - 1}")
-    # The default LID grid is documented to truncate; only a given one warns.
-    if config.lid_k_grid is not None and lid_ks[-1] < max(config.lid_k_grid):
-        _warn(f"dataset {ds.name!r}: LID grid truncated to <= {ds.n - 1}")
-    graph = cached_neighbor_graph(ds, kmax, cache) if cache else None
-    records = evaluate_dataset(ds, config, graph=graph)
-    records = [
-        replace(rec, dim_c1=meta.get("dim_c1"), dim_c2=meta.get("dim_c2")) for rec in records
-    ]
-    if timing:
-        # One call per dataset, so the detectors share a distance matrix and
-        # their runs interleave.
-        times = evaluation.time_detectors(ds, config)
+        ds = _load_for_run(Path(path_s), label_column)
+        lines += _check_distinctness(ds)
+        if ds.labels is None:
+            return None, lines + [f"warning: skipping unlabeled dataset {path_s}"], False
+        meta = read_sidecar(Path(path_s)) or {}
+        det_ks, lid_ks, kmax = config.grids(ds.n)
+        if len(det_ks) < len(config.k_range):
+            lines.append(f"warning: dataset {ds.name!r}: k range truncated to <= {ds.n - 1}")
+        # The default LID grid is documented to truncate; only a given one warns.
+        if config.lid_k_grid is not None and lid_ks[-1] < max(config.lid_k_grid):
+            lines.append(f"warning: dataset {ds.name!r}: LID grid truncated to <= {ds.n - 1}")
+        graph, problem = cached_neighbor_graph(ds, kmax, cache) if cache else (None, None)
+        lines += _cache_warning(ds, problem)
+        records = evaluate_dataset(ds, config, graph=graph)
+        # One timing call per dataset, so the detectors share a distance
+        # matrix and their runs interleave.
+        times = evaluation.time_detectors(ds, config) if timing else {}
         for i, rec in enumerate(records):
-            mean_s, std_s = times[rec.detector]
-            records[i] = replace(rec, runtime_mean_s=mean_s, runtime_std_s=std_s)
-    return records
+            mean_s, std_s = times.get(rec.detector, (None, None))
+            records[i] = replace(
+                rec, dim_c1=meta.get("dim_c1"), dim_c2=meta.get("dim_c2"),
+                runtime_mean_s=mean_s, runtime_std_s=std_s,
+            )
+        return records, lines, False
+    except (ValueError, OSError) as exc:  # DatasetError is a ValueError
+        return None, lines + [f"error: {path_s}: {exc}"], True
 
 
 def cmd_run(args, config_file: dict[str, str]) -> int:
@@ -250,17 +250,15 @@ def cmd_run(args, config_file: dict[str, str]) -> int:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_one, tasks))
     else:
-        results = [_run_one(t) for t in tasks]
+        results = map(_run_one, tasks)  # lazily: each file's lines print when it is done
 
     all_records: list[EvalRecord] = []
     datasets = failed = 0
-    for path_s, records, error in results:
-        if error is not None:
-            print(f"error: {path_s}: {error}", file=sys.stderr)
-            failed += 1
-        elif records is None:
-            _warn(f"skipping unlabeled dataset {path_s}")
-        else:
+    for records, lines, file_failed in results:
+        for line in lines:
+            print(line, file=sys.stderr)
+        failed += file_failed
+        if records is not None:
             all_records.extend(records)
             datasets += 1
     if not all_records:
@@ -440,7 +438,8 @@ def cmd_report(args) -> int:
 def cmd_lid(args) -> int:
     check_estimator(args.estimator)
     ds = _load_for_run(Path(args.data), args.label_column)
-    _check_distinctness(ds)
+    for line in _check_distinctness(ds):
+        print(line, file=sys.stderr)
     kmax = max(args.k, 2)
     if kmax > ds.n - 1:
         raise UsageError(f"--k {args.k} too large for n={ds.n}")
@@ -455,7 +454,9 @@ def cmd_knn_cache(args) -> int:
     ds = _load_for_run(Path(args.data), args.label_column)
     if not 1 <= args.kmax <= ds.n - 1:
         raise UsageError(f"--kmax must lie in [1, {ds.n - 1}]")
-    graph = cached_neighbor_graph(ds, args.kmax, args.cache)
+    graph, problem = cached_neighbor_graph(ds, args.kmax, args.cache)
+    for line in _cache_warning(ds, problem):
+        print(line, file=sys.stderr)
     print(f"cached graph (n={graph.n}, kmax={graph.kmax}) in {args.cache}")
     return 0
 

@@ -274,9 +274,11 @@ class SweepConfig:
     lid_k_grid: Sequence[int] | None = None
 
     def __post_init__(self):
-        for det in self.detectors:
+        for i, det in enumerate(self.detectors):
             if det not in DETECTORS:
                 raise ValueError(f"unknown detector {det!r}; choose from {DETECTORS}")
+            if det in self.detectors[:i]:
+                raise ValueError(f"detector {det!r} is named twice")
         check_estimator(self.lid_estimator)
         for name, ks in (("k range", self.k_range), ("LID k grid", self.lid_k_grid)):
             if ks is not None and (not ks or min(ks) < 1):
@@ -303,8 +305,8 @@ def evaluate_dataset(
     One shared graph at the largest needed k serves every sweep. The
     dispersion and Moran's I columns describe the dataset's LID profile as
     consumed by the best dimensionality-aware configuration (falling back
-    to the largest grid size when that detector is not requested), so they
-    are identical across the dataset's records.
+    to the largest grid size swept when that detector is not requested), so
+    they are identical across the dataset's records.
     """
     if dataset.labels is None:
         raise ValueError(f"dataset {dataset.name!r} has no labels")
@@ -314,14 +316,20 @@ def evaluate_dataset(
     elif graph.kmax < kmax:
         raise ValueError(f"provided graph kmax={graph.kmax} < needed {kmax}")
 
-    profiles = {lk: estimate_profile(config.lid_estimator, graph, lk) for lk in lid_ks}
+    # One profile per distinct k_used, under the first grid k that gives it:
+    # twonn ignores k, and a repeated profile could only tie the first one.
+    by_k_used: dict[int, tuple[int, LidProfile]] = {}
+    for lk in lid_ks:
+        profile = estimate_profile(config.lid_estimator, graph, lk)
+        by_k_used.setdefault(profile.k_used, (lk, profile))
+    profiles = dict(by_k_used.values())
 
     # DAO first: its best LID profile feeds the dispersion and Moran's I columns.
     best = {}
     if "dao" in config.detectors:
         best["dao"] = _best_config(graph, dataset.labels, "dao", det_ks, profiles)
 
-    ref_profile = profiles[best["dao"][2]] if best else profiles[lid_ks[-1]]
+    ref_profile = profiles[best["dao"][2]] if best else profiles[max(profiles)]
     disp = dispersion_R(ref_profile)
     try:
         mi, mk = morans_I_maxmag(ref_profile.log_ids, graph, det_ks)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -306,10 +305,10 @@ def load_graph(path: str | Path, n_features: int, n: int, kmax: int) -> Neighbor
     """Read a graph written by save_graph.
 
     Raises ValueError naming the file unless its size is 8 + 12*n*kmax, its
-    header holds ``n`` and ``kmax``, every index is below n and is not the
-    row's own point, and every row's distances are finite, positive and
-    non-decreasing: the structure of every graph that build_neighbor_graph
-    returns.
+    header holds ``n`` and ``kmax``, every index is below n, is not the
+    row's own point and appears once in its row, and every row's distances
+    are finite, positive and non-decreasing: the structure of every graph
+    that build_neighbor_graph returns.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -335,6 +334,8 @@ def load_graph(path: str | Path, n_features: int, n: int, kmax: int) -> Neighbor
         problem = f"neighbor index >= n={n}"
     elif (indices == np.arange(n, dtype=np.uint32)[:, None]).any():
         problem = "a row lists its own point"
+    elif (np.diff(np.sort(indices, axis=1), axis=1) == 0).any():
+        problem = "a row lists one neighbor twice"
     elif not (
         # A NaN fails every comparison, so the pass over neighboring columns
         # rules it out, and the first and last columns bound the rest.
@@ -352,20 +353,20 @@ def load_graph(path: str | Path, n_features: int, n: int, kmax: int) -> Neighbor
 
 def cached_neighbor_graph(
     data: Dataset | np.ndarray, kmax: int, cache_dir: str | Path
-) -> NeighborGraph:
-    """Build the graph or load it from ``cache_dir`` when already stored.
-
-    A corrupt entry is rebuilt and overwritten, with a warning.
-    """
+) -> tuple[NeighborGraph, str | None]:
+    """(graph, problem): the graph from ``cache_dir``, built and stored there
+    when missing or corrupt; problem is the load_graph message that rejected
+    a corrupt entry, else None."""
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     points = _points(data)
     path = cache_dir / f"{graph_cache_key(points, kmax)}.knn"
+    problem = None
     if path.exists():
         try:
-            return load_graph(path, points.shape[1], points.shape[0], kmax)
+            return load_graph(path, points.shape[1], points.shape[0], kmax), None
         except ValueError as exc:
-            warnings.warn(f"rebuilding graph cache entry: {exc}", stacklevel=2)
+            problem = str(exc)
     graph = build_neighbor_graph(points, kmax)
     save_graph(graph, path)
-    return graph
+    return graph, problem

@@ -223,6 +223,50 @@ def test_run_bad_file_beside_good_ones(synth_dir, tmp_path, capsys, threads):
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_run_stderr_is_per_file_and_independent_of_threads(synth_dir, tmp_path, capsys):
+    import struct
+
+    data, cache = tmp_path / "data", tmp_path / "cache"
+    data.mkdir()
+    first, second = sorted(synth_dir.glob("*.csv"))[:2]
+    (data / "a.csv").write_bytes(first.read_bytes())
+    (data / "b.csv").write_text("a,b,label\n1,2,0\n3,oops,1\n")
+    (data / "c.csv").write_text("a,b\n1,2\n3,4\n5,6\n7,8\n")
+    (data / "d.csv").write_bytes(second.read_bytes())
+    n = load_csv(data / "d.csv").n
+    # The run's graph kmax is 10: --k 5,10 and the LID grid truncated to 5.
+    assert run_cli("knn-cache", "--data", str(data / "d.csv"), "--kmax", "10",
+                   "--cache", str(cache)) == 0
+    (entry,) = cache.iterdir()
+    raw = entry.read_bytes()
+    corrupt = raw[:8] + struct.pack("<I", n) + raw[12:]  # an index out of range
+    expected = [
+        f"warning: dataset 'a': LID grid truncated to <= {n - 1}",
+        f"error: {data / 'b.csv'}: non-numeric value 'oops' at row 1, column 1",
+        f"warning: skipping unlabeled dataset {data / 'c.csv'}",
+        f"warning: dataset 'd': LID grid truncated to <= {n - 1}",
+        f"warning: dataset 'd': rebuilding graph cache entry: corrupt graph cache file"
+        f" {entry}: neighbor index >= n={n}",
+    ]
+    outputs = []
+    for threads in ("1", "2"):
+        entry.write_bytes(corrupt)
+        capsys.readouterr()
+        out = tmp_path / f"r{threads}.csv"
+        assert run_cli(
+            "run", "--data", str(data), "--k", "5,10", "--lid-grid", "5,200",
+            "--cache", str(cache), "--threads", threads, "--out", str(out),
+        ) == 2
+        assert capsys.readouterr().err == "".join(line + "\n" for line in expected)
+        assert entry.read_bytes() == raw
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    entry.write_bytes(corrupt)  # knn-cache prints the same line
+    assert run_cli("knn-cache", "--data", str(data / "d.csv"), "--kmax", "10",
+                   "--cache", str(cache)) == 0
+    assert capsys.readouterr().err == expected[-1] + "\n"
+
+
 def test_run_rejects_two_inputs_naming_one_dataset(synth_dir, tmp_path, capsys, monkeypatch):
     path = sorted(synth_dir.glob("*.csv"))[0]
     other = tmp_path / path.name
@@ -316,9 +360,10 @@ def test_run_config_file_with_flag_override(tmp_path, synth_dir, records_csv):
 
 def test_run_usage_errors(tmp_path, capsys):
     assert run_cli("run", "--out", str(tmp_path / "r.csv")) == 1
-    assert run_cli(
-        "run", "--data", "x.csv", "--detectors", "bogus", "--out", str(tmp_path / "r.csv")
-    ) == 1
+    for detectors in ("bogus", "dao,dao"):
+        assert run_cli(
+            "run", "--data", "x.csv", "--detectors", detectors, "--out", str(tmp_path / "r.csv")
+        ) == 1
     assert run_cli(
         "run", "--data", "x.csv", "--estimator", "tle", "--out", str(tmp_path / "r.csv")
     ) == 2  # gated feature, named error

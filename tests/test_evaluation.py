@@ -363,6 +363,58 @@ def test_dao_sweep_is_argmax_of_every_pair(monkeypatch, small_ds):
     assert ev._best_config(g, small_ds.labels, "dao", det_ks, profiles) == (0.9, 10, 10)
 
 
+def _reference_records(ds, config, graph):
+    """evaluate_dataset's records by brute force: every baseline k and every
+    (k, LID k) DAO pair scored, with a profile estimated at each grid k."""
+    from daodet.detectors import SCORERS, score_dao
+    from daodet.lid import estimate_profile
+
+    det_ks, lid_ks, _ = config.grids(ds.n)
+    profiles = {lk: estimate_profile(config.lid_estimator, graph, lk) for lk in lid_ks}
+    best = {}
+    for det in config.detectors:
+        for k in det_ks:
+            if det == "dao":
+                candidates = [(score_dao(graph, k, profiles[lk]), lk) for lk in lid_ks]
+            else:
+                candidates = [(SCORERS[det](graph, k), None)]
+            for scores, lk in candidates:
+                auc = roc_auc(scores, ds.labels)
+                if det not in best or auc > best[det][0]:
+                    best[det] = (auc, k, lk)
+    ref = profiles[best["dao"][2] if "dao" in best else lid_ks[-1]]
+    mi, mk = morans_I_maxmag(ref.log_ids, graph, det_ks)
+    return [
+        (det, auc, k, lk, dispersion_R(ref), mi, mk) for det, (auc, k, lk) in best.items()
+    ]
+
+
+@pytest.mark.parametrize("estimator, kernel_calls", [("twonn", 3), ("mle", 9)])
+@pytest.mark.parametrize("detectors", [("knn", "lof", "slof", "dao"), ("knn", "slof")])
+def test_dao_sweeps_each_distinct_profile_once(
+    detectors, estimator, kernel_calls, monkeypatch, small_ds
+):
+    # twonn ignores k, so DAO scores one profile per detector k; mle scores
+    # every (k, LID k) pair. Either way the records are those of the sweep
+    # over every pair.
+    from daodet import evaluation as ev
+
+    config = SweepConfig(
+        detectors, k_range=[5, 10, 15], lid_k_grid=[5, 10, 20], lid_estimator=estimator
+    )
+    g = build_neighbor_graph(small_ds, 20)
+    calls = []
+    kernel = ev.dao_kernel
+    monkeypatch.setattr(ev, "dao_kernel", lambda *args: calls.append(1) or kernel(*args))
+    records = ev.evaluate_dataset(small_ds, config, graph=g)
+    assert len(calls) == (kernel_calls if "dao" in detectors else 0)
+    got = [
+        (r.detector, r.roc_auc, r.best_k, r.best_lid_k, r.dispersion_R, r.morans_I, r.morans_k)
+        for r in records
+    ]
+    assert got == _reference_records(small_ds, config, g)
+
+
 def test_best_k_sweep_unlabeled_and_k_range(small_ds):
     unlabeled = Dataset(points=small_ds.points, name="nolab")
     with pytest.raises(ValueError, match="labels"):
@@ -374,6 +426,8 @@ def test_best_k_sweep_unlabeled_and_k_range(small_ds):
 def test_sweep_config_checks_names():
     with pytest.raises(ValueError, match="unknown detector 'bogus'"):
         SweepConfig(detectors=("knn", "bogus"))
+    with pytest.raises(ValueError, match="detector 'dao' is named twice"):
+        SweepConfig(detectors=("dao", "knn", "dao"))
     with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
         SweepConfig(lid_estimator="bogus")
     with pytest.raises(FeatureUnavailableError, match="tle"):

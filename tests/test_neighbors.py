@@ -506,13 +506,15 @@ def test_cache_roundtrip_and_format(tmp_path, rng):
 def test_cached_graph_reused(tmp_path, rng):
     pts = rng.standard_normal((25, 2))
     ds = Dataset(points=pts, name="c")
-    g1 = cached_neighbor_graph(ds, 5, tmp_path)
+    g1, problem = cached_neighbor_graph(ds, 5, tmp_path)
+    assert problem is None
     files = list(tmp_path.glob("*.knn"))
     assert len(files) == 1
     # The key format pins the names of existing cache files.
     expected = hashlib.sha256(pts.tobytes() + b"|kmax=5|metric=euclidean").hexdigest()
     assert files[0].stem == expected == graph_cache_key(ds, 5)
-    g2 = cached_neighbor_graph(ds, 5, tmp_path)
+    g2, problem = cached_neighbor_graph(ds, 5, tmp_path)
+    assert problem is None
     np.testing.assert_array_equal(g1.indices, g2.indices)
     np.testing.assert_array_equal(g1.distances, g2.distances)
     # different kmax is a different cache entry
@@ -550,6 +552,10 @@ def _self_index(raw, n, kmax):  # row 0 lists point 0
     return raw[:8] + struct.pack("<I", 0) + raw[12:]
 
 
+def _repeated_index(raw, n, kmax):  # row 0 lists its first neighbor twice
+    return raw[:12] + raw[8:12] + raw[16:]
+
+
 def _swapped_distances(raw, n, kmax):  # row 0's first two distances, now decreasing
     dist = _distance_block(raw, n, kmax)
     assert dist[0] < dist[1]
@@ -566,6 +572,7 @@ def _swapped_distances(raw, n, kmax):  # row 0's first two distances, now decrea
         _index_out_of_range,
         _nan_distance,
         _self_index,
+        _repeated_index,
         _swapped_distances,
     ],
 )
@@ -576,10 +583,10 @@ def test_corrupt_cache_entry_is_rebuilt(corrupt, tmp_path, rng):
     (path,) = tmp_path.glob("*.knn")
     good = path.read_bytes()
     path.write_bytes(corrupt(good, 25, 5))
-    with pytest.raises(ValueError, match=path.name):
+    with pytest.raises(ValueError, match=path.name) as rejected:
         load_graph(path, n_features=2, n=25, kmax=5)
-    with pytest.warns(UserWarning, match="rebuilding graph cache entry"):
-        g = cached_neighbor_graph(pts, 5, tmp_path)
+    g, problem = cached_neighbor_graph(pts, 5, tmp_path)
+    assert problem == str(rejected.value)
     np.testing.assert_array_equal(g.indices, fresh.indices)
     np.testing.assert_array_equal(g.distances, fresh.distances)
     assert path.read_bytes() == good

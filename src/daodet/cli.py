@@ -114,10 +114,13 @@ def _cache_warning(ds: Dataset, problem: str | None) -> list[str]:
 
 def cmd_gen(args) -> int:
     try:
+        # suite_specs sets each spec's dim_c2 and checks it against the
+        # ambient dimension; the template's placeholder adds no check of its own.
         template = synthgen.SynthSpec(
             ambient_dim=args.ambient_dim,
             cluster_size=args.cluster_size,
             dim_c1=args.dim_c1,
+            dim_c2=args.dim_c1,
         )
         specs = synthgen.suite_specs(args.reps, parse_int_list(args.dims), args.seed, template)
     except ValueError as exc:

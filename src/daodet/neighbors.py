@@ -2,8 +2,9 @@
 
 A NeighborGraph holds, for every point, its kmax nearest neighbors sorted
 by ascending distance, ties broken by ascending point index. The query
-point is never its own neighbor. Graphs are built by brute force with the
-canonical ``euclidean`` distance, so they are bitwise reproducible.
+point is never its own neighbor. Every stored distance is the canonical
+``euclidean`` value, so graphs are bitwise reproducible. Builds compute all
+pairs, or, in low dimensions, all pairs but those an exact bound rules out.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ _BLOCK_BYTES = 4 << 20
 # The whole store, (n/2)^2 * 8 bytes at its peak, fits up to n of about 2000;
 # beyond that, the tiles that do not fit are recomputed.
 _STORE_BYTES = 8 << 20
+# The pruned build runs for d <= _PRUNE_MAX_D and n >= _PRUNE_N_PER_K * (kmax + 1)
+# when the store cannot hold every tile; there it was faster than the tile path
+# on every input of the measured grid (BENCH_box_pruning.json). Its leaves hold
+# at most _LEAF_ROWS points, and a leaf's pilot at least _PILOT_PER_K * (kmax + 1):
+# a pilot larger than the minimum bounds R more tightly, so fewer columns survive.
+_PRUNE_MAX_D = 2
+_PRUNE_N_PER_K = 6
+_LEAF_ROWS = 64
+_PILOT_PER_K = 1.5
 _TINY = np.finfo(np.float64).tiny
 # Selection keys: the +inf bit pattern, above which lie only the bits of
 # negatives, -0.0 and NaNs, and the query's own key, above every other.
@@ -99,20 +109,17 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist[()]  # a scalar again for one pair
 
 
-def _fill_distances(points: np.ndarray, rows: slice, cols: slice, out: np.ndarray) -> None:
-    """Write the distances from points[rows] to points[cols] into ``out``.
+def _fill_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Write the distances from the rows of ``a`` to the rows of ``b`` into ``out``.
 
     Each ``euclidean`` call covers a block of rows small enough that its
-    (block, columns, d) difference temporary stays under _BLOCK_BYTES; every
+    (block, len(b), d) difference temporary stays under _BLOCK_BYTES; every
     pair is still reduced by the same einsum, so the values are those of one
     call over all the rows and columns.
     """
-    block = max(1, _BLOCK_BYTES // (8 * (cols.stop - cols.start) * max(points.shape[1], 1)))
-    for lo in range(rows.start, rows.stop, block):
-        hi = min(lo + block, rows.stop)
-        out[lo - rows.start : hi - rows.start] = euclidean(
-            points[lo:hi, None, :], points[None, cols, :]
-        )
+    block = max(1, _BLOCK_BYTES // (8 * max(b.size, 1)))
+    for lo in range(0, a.shape[0], block):
+        out[lo : lo + block] = euclidean(a[lo : lo + block, None, :], b[None, :, :])
 
 
 def distance_matrix(data: Dataset | np.ndarray) -> np.ndarray:
@@ -159,7 +166,7 @@ def _chunk_distances(points: np.ndarray):
                 runs.append([bounds[p], bounds[p + 1]])
         runs[-1][1] = n  # the last run ends with the chunk's own columns
         for lo, hi in runs:
-            _fill_distances(points, slice(start, stop), slice(lo, hi), rows[:, lo:hi])
+            _fill_distances(points[start:stop], points[lo:hi], rows[:, lo:hi])
         for q in range(c + 1, len(bounds) - 1):
             tile = rows[:, bounds[q] : bounds[q + 1]]
             if held + tile.nbytes > _STORE_BYTES:
@@ -252,17 +259,115 @@ def select_knn_all(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _select_by_chunks(n, k, chunks)
 
 
+def _leaves(points: np.ndarray) -> list[np.ndarray]:
+    """Spatial leaf chunks: the point indices, split at the median of the
+    widest axis until each part holds at most _LEAF_ROWS points."""
+    leaves, parts = [], [np.arange(points.shape[0])]
+    while parts:
+        idx = parts.pop()
+        if idx.size <= _LEAF_ROWS:
+            leaves.append(idx)
+            continue
+        sub = points[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            axis = np.argmax(sub.max(axis=0) - sub.min(axis=0))
+        half = idx.size // 2
+        order = np.argpartition(sub[:, axis], half)
+        parts += [idx[order[half:]], idx[order[:half]]]
+    return leaves
+
+
+def _box_gap(lo: np.ndarray, hi: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Each point's largest per-axis gap to the box [lo, hi], as
+    max_c max(fl(lo_c - p_c), fl(p_c - hi_c)): at most 0 inside the box.
+    ``coords`` holds the points' coordinates as rows, (d, n), so that the
+    reduction over the axes runs over whole rows.
+
+    No ``euclidean`` distance from a point a in the box to p is below p's
+    gap. Rounding is monotonic, so |fl(a_c - p_c)| is at least the gap on
+    one axis; a sum of non-negative floats rounds to at least each term,
+    and sqrt(fl(x * x)) = |x|, so the distance is at least every
+    |fl(a_c - p_c)|, in any summation order. The rescue path returns at
+    least its scale, the largest of them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.maximum(lo[:, None] - coords, coords - hi[:, None]).max(axis=0)
+
+
+def _select_pruned(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """kNN of all points, one spatial leaf of queries at a time, over only
+    the columns that the box bound cannot rule out.
+
+    A leaf's pilot is its own points and those of the leaves with the
+    nearest centres, at least _PILOT_PER_K * (k + 1) >= k + 1 points. Every
+    query's k-th distance is at most R, the largest k-th distance from a
+    leaf row to the pilot. A column whose box gap is strictly greater than
+    R is therefore farther than every row's k-th neighbor and ties none, so
+    it is dropped. The rest, pilot distances reused, stay in ascending
+    index order, so ``select_knn_rows`` breaks ties by index as over all n
+    columns.
+    """
+    n = points.shape[0]
+    indices = np.empty((n, k), dtype=np.int64)
+    distances = np.empty((n, k), dtype=np.float64)
+    leaves = _leaves(points)
+    lo = np.array([points[leaf].min(axis=0) for leaf in leaves])
+    hi = np.array([points[leaf].max(axis=0) for leaf in leaves])
+    with np.errstate(over="ignore", invalid="ignore"):
+        centres = lo / 2 + hi / 2
+    sizes = np.array([leaf.size for leaf in leaves])
+    coords = np.ascontiguousarray(points.T)
+    in_pilot = np.zeros(n, dtype=bool)
+    for i, leaf in enumerate(leaves):
+        with np.errstate(over="ignore", invalid="ignore"):
+            order = np.argsort(np.abs(centres - centres[i]).max(axis=1), kind="stable")
+        order = np.concatenate([[i], order[order != i]])
+        count = np.searchsorted(np.cumsum(sizes[order]), _PILOT_PER_K * (k + 1)) + 1
+        pilot = np.sort(np.concatenate([leaves[j] for j in order[:count]]))
+        queries = points[leaf]
+        pilot_rows = np.empty((leaf.size, pilot.size))
+        _fill_distances(queries, points[pilot], pilot_rows)
+        # Each row's own zero is among the k + 1 smallest, so this is the
+        # k-th distance to the other pilot points (NaN keeps every column).
+        radius = np.partition(pilot_rows, k, axis=1)[:, k].max()
+        cols = np.flatnonzero(~(_box_gap(lo[i], hi[i], coords) > radius))
+        in_pilot[pilot] = True
+        reused = in_pilot[cols]
+        in_pilot[pilot] = False
+        rows = np.empty((leaf.size, cols.size))
+        rows[:, reused] = pilot_rows[:, np.searchsorted(pilot, cols[reused])]
+        fresh = cols[~reused]
+        fresh_rows = np.empty((leaf.size, fresh.size))
+        _fill_distances(queries, points[fresh], fresh_rows)
+        rows[:, ~reused] = fresh_rows
+        pos, distances[leaf] = select_knn_rows(rows, np.searchsorted(cols, leaf), k)
+        indices[leaf] = cols[pos]
+    return indices, distances
+
+
+def _prunes(n: int, kmax: int, d: int) -> bool:
+    """Whether build_neighbor_graph takes the pruned path. While the store
+    holds every tile, (n/2)^2 * 8 bytes, the tile path computes each pair
+    once, which pruning did not beat on the measured grid."""
+    return d <= _PRUNE_MAX_D and n >= _PRUNE_N_PER_K * (kmax + 1) and 2 * n * n > _STORE_BYTES
+
+
 def _points(data: Dataset | np.ndarray) -> np.ndarray:
     return data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
 
 
 def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph:
-    """Exact kNN graph for all points, by brute force over row chunks."""
+    """Exact kNN graph for all points: over row chunks and the tile store,
+    or, in low dimensions with n large against kmax, over spatial leaves
+    whose pairs beyond an exact box bound are skipped."""
     points = _points(data)
     n = points.shape[0]
     if not 1 <= kmax <= n - 1:
         raise ValueError(f"kmax={kmax} out of range [1, {n - 1}]")
-    indices, distances = _select_by_chunks(n, kmax, _chunk_distances(points))
+    if _prunes(n, kmax, points.shape[1]):
+        indices, distances = _select_pruned(points, kmax)
+    else:
+        indices, distances = _select_by_chunks(n, kmax, _chunk_distances(points))
     if not np.isfinite(distances).all():
         raise ValueError(
             "non-finite distances in graph: a pairwise distance exceeds the float range"

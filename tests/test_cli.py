@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 from daodet.cli import main, parse_int_list
 from daodet.dataset import Dataset, load_csv, write_csv
+from daodet.neighbors import load_graph
+from daodet.synthgen import SynthSpec, generate, sidecar_metadata
 
 
 def run_cli(*argv):
@@ -73,6 +76,30 @@ def test_gen_rejects_dims_beyond_ambient(tmp_path, capsys):
     assert "usage error:" in capsys.readouterr().err
     assert run_cli("gen", "--cluster-size", "1", "--out", str(tmp_path / "x")) == 1
     assert "usage error: cluster_size" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_gen_makes_two_dimensional_data(tmp_path, capsys):
+    # The four 6400x2 datasets of the lowdim benchmark, made by gen.
+    out, ref = tmp_path / "gen", tmp_path / "ref"
+    assert run_cli(
+        "gen", "--reps", "2", "--dims", "1,2", "--ambient-dim", "2", "--dim-c1", "2",
+        "--cluster-size", "3200", "--seed", "42", "--out", str(out),
+    ) == 0
+    ref.mkdir()
+    for seed, dim_c2 in zip(range(42, 46), (1, 2, 1, 2)):
+        spec = SynthSpec(ambient_dim=2, cluster_size=3200, dim_c1=2, dim_c2=dim_c2, seed=seed)
+        ds, report = generate(spec)
+        write_csv(ds, ref / f"{ds.name}.csv", sidecar_metadata(spec, report))
+    names = sorted(p.name for p in ref.iterdir())
+    assert len(names) == 8 and sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    # A requested dim above the ambient one is still a usage error.
+    assert run_cli(
+        "gen", "--dims", "1,3", "--ambient-dim", "2", "--dim-c1", "2", "--out", str(tmp_path / "x")
+    ) == 1
+    assert "usage error: dim_c2=3 outside [1, ambient 2]" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -602,6 +629,57 @@ def test_knn_cache_twice_keeps_one_entry(synth_dir, tmp_path, monkeypatch):
     assert run_cli(*argv) == 0
     assert list(cache.iterdir()) == [entry]
     assert entry.read_bytes() == first
+
+
+# A daodet run that starts once the file named by argv[1] exists, after
+# touching the file named by argv[2].
+_RUN_ON_SIGNAL = """
+import sys, time
+from pathlib import Path
+from daodet.cli import main
+Path(sys.argv[2]).touch()
+while not Path(sys.argv[1]).exists():
+    time.sleep(0.001)
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def test_two_processes_racing_on_one_cache_entry(tmp_path):
+    data, cache = tmp_path / "data", tmp_path / "cache"
+    assert run_cli("gen", "--reps", "1", "--dims", "4", "--cluster-size", "400", "--seed", "3",
+                   "--out", str(data)) == 0
+    grids = ["--k", "5..15:5", "--lid-grid", "5,10"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    go = tmp_path / "go"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _RUN_ON_SIGNAL, str(go), str(tmp_path / f"ready{i}"),
+             "run", "--data", str(data), *grids, "--cache", str(cache),
+             "--out", str(tmp_path / f"records{i}.csv")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for i in range(2)
+    ]
+    try:
+        deadline = time.monotonic() + 60
+        while not all((tmp_path / f"ready{i}").exists() for i in range(2)):
+            assert time.monotonic() < deadline and all(p.poll() is None for p in procs)
+            time.sleep(0.01)
+        go.touch()
+        results = [p.communicate(timeout=120) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+            p.wait()
+    assert [p.returncode for p in procs] == [0, 0], results
+    assert all(err == "" for _, err in results)
+    records = (tmp_path / "records0.csv").read_bytes()
+    assert (tmp_path / "records1.csv").read_bytes() == records
+    assert run_cli("run", "--data", str(data), *grids, "--out", str(tmp_path / "r.csv")) == 0
+    assert (tmp_path / "r.csv").read_bytes() == records
+    (entry,) = cache.iterdir()  # one entry, no temp file left behind
+    load_graph(entry, n_features=32, n=800, kmax=15)
 
 
 def test_cli_import_leaves_scipy_unloaded():

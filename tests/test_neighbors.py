@@ -95,14 +95,61 @@ def _tie_heavy_points(dim):
     )
 
 
+def _force_pruned(mp, leaf_rows):
+    """Send every build through the pruned path, with leaves of at most
+    ``leaf_rows`` points."""
+    mp.setattr(neighbors, "_PRUNE_MAX_D", 1 << 30)
+    mp.setattr(neighbors, "_PRUNE_N_PER_K", 0)
+    mp.setattr(neighbors, "_STORE_BYTES", 0)  # the pruned path keeps no store
+    mp.setattr(neighbors, "_LEAF_ROWS", leaf_rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3).flatmap(_tie_heavy_points))
 def test_graph_equals_oracle_on_ties_for_every_kmax(pts):
     n = len(pts)
     oi, od = brute_oracle(pts, n - 1)
-    for kmax in range(1, n):
-        g = build_neighbor_graph(pts, kmax=kmax)
-        assert np.array_equal(g.indices, oi[:, :kmax])
+    for path in ("tiles", "pruned"):
+        with pytest.MonkeyPatch.context() as mp:
+            if path == "pruned":
+                _force_pruned(mp, 4)  # up to six leaves
+            for kmax in range(1, n):
+                g = build_neighbor_graph(pts, kmax=kmax)
+                assert np.array_equal(g.indices, oi[:, :kmax])
+                assert g.distances.tobytes() == od[:, :kmax].tobytes()
+
+
+def _row_oracle(points, kmax):
+    """brute_oracle with one euclidean call and one (distance, index)
+    lexsort per query; on integer points every distance is exact, so it
+    cannot depend on how the call reduces."""
+    n = len(points)
+    indices = np.empty((n, kmax), dtype=np.int64)
+    dists = np.empty((n, kmax))
+    for i in range(n):
+        d = euclidean(points[i], points)
+        order = np.lexsort((np.arange(n), d))
+        order = order[order != i][:kmax]
+        indices[i], dists[i] = order, d[order]
+    return indices, dists
+
+
+@pytest.mark.parametrize("leaf_rows", [100, 16])
+def test_pruned_graph_equals_oracle_on_a_lattice(leaf_rows, monkeypatch):
+    # 1600 points with many exactly tied distances. 100-point leaves are
+    # 10x10 squares: at kmax 1 each one's R is 1, and a row on the lower
+    # face takes its neighbor one step below it, at a gap of exactly R.
+    xs, ys = np.meshgrid(np.arange(40.0), np.arange(40.0))
+    pts = np.column_stack([xs.ravel(), ys.ravel()])
+    oi, od = _row_oracle(pts, 780)
+    small = pts[(pts < 7).all(axis=1)]
+    assert [a.tobytes() for a in _row_oracle(small, 48)] == [
+        a.tobytes() for a in brute_oracle(small, 48)
+    ]
+    _force_pruned(monkeypatch, leaf_rows)
+    for kmax in (1, 4, 10, 12, 100, 780):
+        g = build_neighbor_graph(pts, kmax)
+        assert g.indices.tobytes() == oi[:, :kmax].tobytes()
         assert g.distances.tobytes() == od[:, :kmax].tobytes()
 
 
@@ -175,28 +222,49 @@ def test_graph_equals_oracle_for_every_store_cap(n, monkeypatch):
     oi, od = brute_oracle(pts, n - 1)
     for chunk_rows in (128, 32):
         monkeypatch.setattr(neighbors, "_CHUNK_ROWS", chunk_rows)
-        for cap in (0, _TILE_BYTES, 3 * _TILE_BYTES, 1 << 62):
-            monkeypatch.setattr(neighbors, "_STORE_BYTES", cap)
+        for cap in (0, _TILE_BYTES, 3 * _TILE_BYTES, 1 << 62, "pruned"):
+            if cap == "pruned":
+                _force_pruned(monkeypatch, chunk_rows // 4)
+            else:
+                monkeypatch.setattr(neighbors, "_STORE_BYTES", cap)
             for kmax in (1, n // 2, n - 1):
                 g = build_neighbor_graph(pts, kmax)
                 assert g.indices.tobytes() == oi[:, :kmax].tobytes()
                 assert g.distances.tobytes() == od[:, :kmax].tobytes()
+        monkeypatch.undo()
 
 
-def test_each_pair_computed_once_with_an_unlimited_store(monkeypatch):
-    n = 300  # chunks of rows 0-127, 128-255 and 256-299
-    # Column 0 is the point's index, so a spy on euclidean can count pairs.
-    pts = np.column_stack([np.arange(n, dtype=np.float64), np.random.default_rng(1).random(n)])
-    counts = np.zeros((n, n), dtype=np.int64)
+def _index_coded_points(n, d, seed):
+    """Points whose column 0 is their index, so a spy can count pairs."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([np.arange(n, dtype=np.float64), rng.random((n, d - 1))])
+
+
+def _count_pairs(monkeypatch, n):
+    """An (n, n) count of the pairs that euclidean computes from now on,
+    for index-coded points."""
+    counts = np.zeros((n, n), dtype=np.uint8)
 
     def counted(a, b):
         counts[np.ix_(a[:, 0, 0].astype(int), b[0, :, 0].astype(int))] += 1
         return euclidean(a, b)
 
     monkeypatch.setattr(neighbors, "euclidean", counted)
-    chunk = np.arange(n) // 128
+    return counts
+
+
+def _each_pair_once(n):
     # Chunks compute their own tile and those right of it; the rest are transposed.
-    once = np.where(chunk[:, None] == chunk[None, :], 1, chunk[:, None] < chunk[None, :])
+    chunk = np.arange(n) // 128
+    return np.where(chunk[:, None] == chunk[None, :], 1, chunk[:, None] < chunk[None, :])
+
+
+def test_each_pair_computed_once_with_an_unlimited_store(monkeypatch):
+    n = 300  # chunks of rows 0-127, 128-255 and 256-299
+    pts = _index_coded_points(n, 2, 1)
+    counts = _count_pairs(monkeypatch, n)
+    monkeypatch.setattr(neighbors, "_PRUNE_N_PER_K", 1 << 30)  # the tile path
+    once = _each_pair_once(n)
     monkeypatch.setattr(neighbors, "_STORE_BYTES", 1 << 62)
     build_neighbor_graph(pts, 5)
     np.testing.assert_array_equal(counts, once)
@@ -208,6 +276,61 @@ def test_each_pair_computed_once_with_an_unlimited_store(monkeypatch):
     monkeypatch.setattr(neighbors, "_STORE_BYTES", 0)
     build_neighbor_graph(pts, 5)
     np.testing.assert_array_equal(counts, 1)  # all n^2 pairs
+
+
+def test_path_choice_pins_the_pairs_computed(monkeypatch):
+    # The desk and timing graphs (1600x32, kmax 780) stay on the tile path,
+    # whose store holds every tile at n=1600: each pair once. So do 1600x2
+    # graphs, even with n >> kmax.
+    n = 1600
+    counts = _count_pairs(monkeypatch, n)
+    once = _each_pair_once(n)
+    for d, kmax in ((32, 780), (2, 780), (2, 100)):
+        counts[:] = 0
+        build_neighbor_graph(_index_coded_points(n, d, 1), kmax)
+        np.testing.assert_array_equal(counts, once)
+
+    # A low-d build with n >> kmax beyond the store's reach is pruned, as the
+    # lowdim graphs (6400x2, kmax 780) are: no pair twice, and fewer in all.
+    assert neighbors._prunes(6400, 780, 2) and not neighbors._prunes(6400, 780, 3)
+    n = 2400
+    counts = _count_pairs(monkeypatch, n)
+    pts = _index_coded_points(n, 2, 2)
+    pruned = build_neighbor_graph(pts, 100)
+    assert counts.max() == 1
+    pruned_pairs = counts.sum(dtype=np.int64)
+    counts[:] = 0
+    monkeypatch.setattr(neighbors, "_PRUNE_N_PER_K", 1 << 30)
+    tiles = build_neighbor_graph(pts, 100)
+    assert pruned_pairs < counts.sum(dtype=np.int64)
+    assert pruned.indices.tobytes() == tiles.indices.tobytes()
+    assert pruned.distances.tobytes() == tiles.distances.tobytes()
+
+
+# Coordinates from subnormals to 1e300 in magnitude, with both zeros.
+_coordinate = (
+    st.floats(-1e300, 1e300, allow_subnormal=True)
+    | st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 290))
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300])
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.tuples(*[hnp.arrays(np.float64, d, elements=_coordinate)] * 3)
+    )
+)
+def test_euclidean_bounds_every_coordinate_gap(abc):
+    """The pruned build's bound, in any order of summation: the distance is
+    at least each |fl(a_c - b_c)|, so at least b's gap to a box holding a."""
+    a, b, c = abc
+    lo, hi = np.minimum(a, c), np.maximum(a, c)  # a box holding a (and c)
+    gap = neighbors._box_gap(lo, hi, b[:, None])[0]
+    for perm in (np.arange(a.size), np.arange(a.size)[::-1], np.roll(np.arange(a.size), 1)):
+        dist = euclidean(a[perm], b[perm])
+        assert dist >= np.max(np.abs(a - b))
+        assert dist >= gap
 
 
 def _lexsort_select(dist_rows, self_idx, k):

@@ -237,7 +237,8 @@ def _best_config(graph, labels, detector, det_ks, profiles):
     Candidates come in ascending detector k, then ascending LID k, and a
     strict comparison keeps the earlier one, so AUC ties and NaN keep the
     smallest k. DAO builds its neighbor block and log-ratio matrix once per
-    detector k and shares them across every LID profile.
+    detector k, shares them across every LID profile, and frees them before
+    the next k builds its own.
     """
     best = None
 
@@ -252,6 +253,7 @@ def _best_config(graph, labels, detector, det_ks, profiles):
             ratios = dao_log_ratios(graph, k)
             for lid_k in sorted(profiles):
                 consider(dao_kernel(profiles[lid_k].ids, *ratios), k, lid_k)
+            del ratios
     else:
         scorer = SCORERS[detector]  # looked up per call: tracers wrap the entries
         for k in det_ks:

@@ -68,13 +68,15 @@ def estimate_mle(graph: NeighborGraph, k: int) -> LidProfile:
     _check_k(graph, k)
     d = graph.distances[:, :k]
     mean_log = np.empty(graph.n)
-    # Row blocks keep the (rows, k) temporary under _BLOCK_BYTES; each row's
-    # mean still reduces the same k contiguous values.
+    # Row blocks keep the (rows, k) temporary under _BLOCK_BYTES, in one
+    # buffer that every block reuses; each row's mean still reduces the same
+    # k contiguous values.
     rows = max(1, _BLOCK_BYTES // (8 * k))
+    buf = np.empty((min(rows, graph.n), k))
     with np.errstate(divide="ignore"):
         for start in range(0, graph.n, rows):
             block = d[start : start + rows]
-            ratio = block / block[:, k - 1 : k]
+            ratio = np.divide(block, block[:, k - 1 : k], out=buf[: block.shape[0]])
             mean_log[start : start + rows] = np.log(ratio, out=ratio).mean(axis=1)
         raw = np.where(mean_log < 0.0, -1.0 / mean_log, np.inf)
     return _finish("mle", k, raw, graph.n_features)

@@ -46,12 +46,14 @@ _SELF_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 class NeighborGraph:
     """Sorted kNN index lists and distances for all points, up to kmax."""
 
-    indices: np.ndarray    # (n, kmax) int64
+    indices: np.ndarray    # (n, kmax) int32: n < 2**31 for any graph an n^2 build reaches
     distances: np.ndarray  # (n, kmax) float64, non-decreasing along rows
     kmax: int
     n_features: int
 
     def __post_init__(self):
+        if self.indices.dtype != np.int32:  # other integer indices are converted once
+            object.__setattr__(self, "indices", self.indices.astype(np.int32))
         self.indices.flags.writeable = False
         self.distances.flags.writeable = False
 
@@ -181,7 +183,8 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
 
     dist_rows: (m, n) distances from m queries to all n points; self_idx
     gives each query's own column, which is excluded. Returns (indices,
-    distances) of shape (m, k), rows sorted ascending, ties by index.
+    distances) of shape (m, k), int32 and float64, rows sorted ascending,
+    ties by index.
     dist_rows itself is left unmodified.
     """
     src = np.asarray(dist_rows, dtype=np.float64)
@@ -203,7 +206,7 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
         keys.partition(k, axis=1)
     sel = keys[:, : k + 1]
     sel.sort(axis=1)
-    idx = (sel[:, :k] & mask).astype(np.int64)
+    idx = (sel[:, :k] & mask).astype(np.int32)
     flat = src.reshape(-1)  # a view unless src is not C-contiguous
     dist = np.take(flat, idx + (rows * n)[:, None])
 
@@ -238,7 +241,7 @@ def _select_by_chunks(n: int, k: int, chunks) -> tuple[np.ndarray, np.ndarray]:
     chunks yields (start, rows), the distances from queries start onwards
     to all n points, covering all n queries.
     """
-    indices = np.empty((n, k), dtype=np.int64)
+    indices = np.empty((n, k), dtype=np.int32)
     distances = np.empty((n, k), dtype=np.float64)
     for start, rows in chunks:
         stop = start + rows.shape[0]
@@ -308,7 +311,7 @@ def _select_pruned(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     columns.
     """
     n = points.shape[0]
-    indices = np.empty((n, k), dtype=np.int64)
+    indices = np.empty((n, k), dtype=np.int32)
     distances = np.empty((n, k), dtype=np.float64)
     leaves = _leaves(points)
     lo = np.array([points[leaf].min(axis=0) for leaf in leaves])
@@ -368,7 +371,9 @@ def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph
         indices, distances = _select_pruned(points, kmax)
     else:
         indices, distances = _select_by_chunks(n, kmax, _chunk_distances(points))
-    if not np.isfinite(distances).all():
+    # Rows are non-decreasing with NaN last, so the last column is finite
+    # only when every column is.
+    if not np.isfinite(distances[:, -1]).all():
         raise ValueError(
             "non-finite distances in graph: a pairwise distance exceeds the float range"
             " or the input is not finite"
@@ -434,12 +439,13 @@ def load_graph(path: str | Path, n_features: int, n: int, kmax: int) -> Neighbor
             )
         indices = np.fromfile(fh, dtype="<u4", count=count).reshape(n, kmax)
         distances = np.fromfile(fh, dtype="<f8", count=count).reshape(n, kmax)
+    ordered = np.sort(indices, axis=1)
     problem = None
     if indices.max(initial=0) >= n:
         problem = f"neighbor index >= n={n}"
     elif (indices == np.arange(n, dtype=np.uint32)[:, None]).any():
         problem = "a row lists its own point"
-    elif (np.diff(np.sort(indices, axis=1), axis=1) == 0).any():
+    elif (ordered[:, 1:] == ordered[:, :-1]).any():
         problem = "a row lists one neighbor twice"
     elif not (
         # A NaN fails every comparison, so the pass over neighboring columns
@@ -451,8 +457,9 @@ def load_graph(path: str | Path, n_features: int, n: int, kmax: int) -> Neighbor
         problem = "a row's distances are not positive, finite and non-decreasing"
     if problem is not None:
         raise ValueError(f"corrupt graph cache file {path}: {problem}")
+    # Every index is below n < 2**31, so the block reads as int32 in place.
     return NeighborGraph(
-        indices=indices.astype(np.int64), distances=distances, kmax=kmax, n_features=n_features
+        indices=indices.view("<i4"), distances=distances, kmax=kmax, n_features=n_features
     )
 
 

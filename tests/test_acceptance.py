@@ -6,7 +6,9 @@ the CLI and shared by the trend, regression, and report criteria.
 """
 
 import csv
+import hashlib
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,21 @@ def desk_records(tmp_path_factory):
         ]
     ) == 0
     return records_csv, read_records_csv(records_csv)
+
+
+@pytest.fixture(scope="module")
+def desk_report(desk_records):
+    """(exit code, out dir) of ``report`` with all four analyses on the desk records."""
+    records_csv, _ = desk_records
+    out = records_csv.parent / "report"
+    code = cli_main(
+        [
+            "report", "--records", str(records_csv),
+            "--analysis", "fig1", "fig2", "ranks", "tables", "--out", str(out),
+            "--alpha", "0.05",
+        ]
+    )
+    return code, out
 
 
 def mean_auc(records, detector, dim):
@@ -259,16 +276,9 @@ def test_criterion_9_runtime_shape():
     )
 
 
-def test_criterion_10_report_pipeline(desk_records, tmp_path):
-    records_csv, records = desk_records
-    out = tmp_path / "report"
-    code = cli_main(
-        [
-            "report", "--records", str(records_csv),
-            "--analysis", "fig2", "ranks", "tables", "--out", str(out),
-            "--alpha", "0.05",
-        ]
-    )
+def test_criterion_10_report_pipeline(desk_records, desk_report):
+    _, records = desk_records
+    code, out = desk_report
     with open(out / "ranks.csv") as fh:
         ranks = {row["detector"]: float(row["avg_rank"]) for row in csv.DictReader(fh)}
     with open(out / "fig2.csv") as fh:
@@ -287,4 +297,34 @@ def test_criterion_10_report_pipeline(desk_records, tmp_path):
         f"report ran end-to-end on {n_datasets} synthetic datasets; "
         f"avg ranks {sorted(ranks.items(), key=lambda t: t[1])} (alpha=0.05); "
         "the 393-real-dataset study itself stays out of scope (data not bundled)",
+    )
+
+
+PINS = Path(__file__).with_name("desk_seed42.sha256")
+
+
+def test_desk_outputs_match_seed42_pins(desk_records, desk_report):
+    """The desk records and the four-analysis report, byte for byte.
+
+    ``gen --reps 5 --dims 2,8,16,32 --seed 42`` then ``run --k 5..100:5``
+    is the desk-cold benchmark chain, so these are its seed-42 outputs. A
+    change that alters outputs on purpose regenerates the pins and says
+    so. The pins' comment lines record the numpy build they were made with:
+    einsum and exp may round differently under another build or CPU dispatch.
+    """
+    records_csv, _ = desk_records
+    code, out = desk_report
+    assert code == 0
+    lines = PINS.read_text().splitlines()
+    made_with = [line for line in lines if line.startswith("#")]
+    pinned = dict(reversed(line.split("  ", 1)) for line in lines if not line.startswith("#"))
+    root = records_csv.parent
+    got = {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in [records_csv, *sorted(out.iterdir())]
+    }
+    differ = sorted(f for f in pinned.keys() | got.keys() if pinned.get(f) != got.get(f))
+    assert not differ, (
+        f"outputs differ from {PINS.name}: {differ}; pins made with {made_with},"
+        f" this run has numpy {np.__version__} (see numpy.show_runtime())"
     )

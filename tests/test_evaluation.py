@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from daodet.lid import FeatureUnavailableError
 from daodet.neighbors import build_neighbor_graph
 from daodet.synthgen import SynthSpec, generate
 
-from conftest import fake_profile
+from conftest import fake_graph, fake_profile
 
 
 def pairwise_auc(scores, labels):
@@ -471,6 +472,30 @@ def test_evaluate_dataset_reuses_graph(small_ds):
     ]
     with pytest.raises(ValueError, match="kmax"):
         evaluate_dataset(small_ds, SweepConfig(k_range=[20], lid_k_grid=[5]), graph=g)
+
+
+def test_sweep_peak_is_three_blocks_above_the_graph():
+    # n is large enough that the (n, k) blocks of the DAO sweep, not the
+    # 4 MiB MLE row block, set the peak. A sweep holding two k's working
+    # sets at once, or a temporary per block, exceeds the bound.
+    n, kmax = 4000, 120
+    rng = np.random.default_rng(23)
+    ds = Dataset(
+        points=rng.standard_normal((n, 2)),
+        labels=(np.arange(n) % 10 == 0).astype(np.int64),
+        name="mem",
+    )
+    indices = (np.arange(n)[:, None] + rng.integers(1, n, (n, kmax))) % n
+    graph = fake_graph(indices, np.sort(rng.uniform(0.5, 2.0, (n, kmax)), axis=1))
+    config = SweepConfig(k_range=range(5, 101, 5), lid_k_grid=(10, 60, kmax))
+    tracemalloc.start()
+    try:
+        evaluate_dataset(ds, config, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    profiles = len(config.lid_k_grid) * 2 * n * 8
+    assert peak <= 3 * n * kmax * 8 + profiles
 
 
 def test_records_csv_roundtrip(tmp_path, small_ds):

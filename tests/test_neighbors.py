@@ -25,11 +25,13 @@ from daodet.neighbors import (
     select_knn_rows,
 )
 
+from conftest import fake_graph
+
 
 def brute_oracle(points, kmax):
     """Per-query python loop with explicit (distance, index) sorting."""
     n = len(points)
-    indices = np.empty((n, kmax), dtype=np.int64)
+    indices = np.empty((n, kmax), dtype=np.int32)
     dists = np.empty((n, kmax))
     for i in range(n):
         pairs = []
@@ -124,7 +126,7 @@ def _row_oracle(points, kmax):
     lexsort per query; on integer points every distance is exact, so it
     cannot depend on how the call reduces."""
     n = len(points)
-    indices = np.empty((n, kmax), dtype=np.int64)
+    indices = np.empty((n, kmax), dtype=np.int32)
     dists = np.empty((n, kmax))
     for i in range(n):
         d = euclidean(points[i], points)
@@ -565,6 +567,24 @@ def test_distance_beyond_float_range_rejected():
             build_neighbor_graph(pts, kmax=2)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("path", ["tiles", "pruned"])
+def test_non_finite_input_rejected_on_both_paths(path, bad, monkeypatch):
+    # The build checks only the last column: rows are non-decreasing and
+    # both paths sort NaN last.
+    pts = np.random.default_rng(5).standard_normal((40, 2))
+    pts[7, 1] = bad
+    if path == "pruned":
+        _force_pruned(monkeypatch, 8)
+    with pytest.raises(ValueError) as rejected:
+        build_neighbor_graph(pts, kmax=5)
+    assert str(rejected.value) == (
+        "non-finite distances in graph: a pairwise distance exceeds the float range"
+        " or the input is not finite"
+    )
+
+
 def test_duplicate_points_rejected():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="duplicate"):
@@ -624,6 +644,24 @@ def test_cache_roundtrip_and_format(tmp_path, rng):
     np.testing.assert_array_equal(idx, g.indices)
     np.testing.assert_array_equal(dist.reshape(n, kmax), g.distances)
     assert len(raw) == 8 + n * kmax * 12
+
+
+def test_every_graph_path_returns_int32_indices(tmp_path, monkeypatch):
+    pts = np.random.default_rng(3).standard_normal((60, 2))
+    tiles = build_neighbor_graph(pts, kmax=5)
+    selected, _ = select_knn_all(distance_matrix(pts), 5)
+    path = tmp_path / "g.knn"
+    save_graph(tiles, path)
+    loaded = load_graph(path, n_features=2, n=60, kmax=5)
+    wide = fake_graph(tiles.indices.astype(np.int64), tiles.distances)
+    wide_path = tmp_path / "wide.knn"
+    save_graph(wide, wide_path)
+    assert wide_path.read_bytes() == path.read_bytes()
+    _force_pruned(monkeypatch, 8)
+    pruned = build_neighbor_graph(pts, kmax=5)
+    for indices in (tiles.indices, pruned.indices, selected, loaded.indices, wide.indices):
+        assert indices.dtype == np.int32
+        assert indices.tobytes() == tiles.indices.tobytes()
 
 
 def test_cached_graph_reused(tmp_path, rng):

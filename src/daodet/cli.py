@@ -244,13 +244,16 @@ def cmd_run(args, config_file: dict[str, str]) -> int:
     try:
         threads = int(threads_s)
     except ValueError:
-        raise UsageError(f"threads must be an integer, got {threads_s!r}") from None
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"threads must be a positive integer, got {threads_s!r}")
     timing = bool(args.timing or config_file.get("timing", "").lower() in ("1", "true", "yes"))
 
     paths = _collect_data_paths(list(data))
     tasks = [(str(p), label_column, config, cache, timing) for p in paths]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(tasks))  # a fork pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, tasks))
     else:
         results = map(_run_one, tasks)  # lazily: each file's lines print when it is done

@@ -62,6 +62,7 @@ def score_lof(graph: NeighborGraph, k: int) -> ScoreVector:
     reach = kd[nb]
     np.maximum(reach, nd, out=reach)
     lrd = k / reach.sum(axis=1)
+    del reach  # so the gather below is the only (n, k) block held
     scores = lrd[nb].mean(axis=1) / lrd
     return ScoreVector("lof", k, scores)
 

@@ -29,12 +29,10 @@ _STORE_BYTES = 8 << 20
 # The pruned build runs for d <= _PRUNE_MAX_D and n >= _PRUNE_N_PER_K * (kmax + 1)
 # when the store cannot hold every tile; there it was faster than the tile path
 # on every input of the measured grid (BENCH_box_pruning.json). Its leaves hold
-# at most _LEAF_ROWS points, and a leaf's pilot at least _PILOT_PER_K * (kmax + 1):
-# a pilot larger than the minimum bounds R more tightly, so fewer columns survive.
+# at most _LEAF_ROWS points.
 _PRUNE_MAX_D = 2
 _PRUNE_N_PER_K = 6
 _LEAF_ROWS = 64
-_PILOT_PER_K = 1.5
 _TINY = np.finfo(np.float64).tiny
 # Selection keys: the +inf bit pattern, above which lie only the bits of
 # negatives, -0.0 and NaNs, and the query's own key, above every other.
@@ -280,69 +278,57 @@ def _leaves(points: np.ndarray) -> list[np.ndarray]:
     return leaves
 
 
-def _box_gap(lo: np.ndarray, hi: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Each point's largest per-axis gap to the box [lo, hi], as
-    max_c max(fl(lo_c - p_c), fl(p_c - hi_c)): at most 0 inside the box.
-    ``coords`` holds the points' coordinates as rows, (d, n), so that the
-    reduction over the axes runs over whole rows.
+def _box_bounds(lo: np.ndarray, hi: np.ndarray, coords: np.ndarray):
+    """Each point p's bounds (gap, far) on its ``euclidean`` distance to any
+    point a of the box [lo, hi]. ``coords`` holds the points' coordinates as
+    rows, (d, n), so that the reductions over the axes run over whole rows.
 
-    No ``euclidean`` distance from a point a in the box to p is below p's
-    gap. Rounding is monotonic, so |fl(a_c - p_c)| is at least the gap on
+    gap = max_c max(fl(lo_c - p_c), fl(p_c - hi_c)), at most 0 inside the
+    box. Rounding is monotonic, so |fl(a_c - p_c)| is at least the gap on
     one axis; a sum of non-negative floats rounds to at least each term,
     and sqrt(fl(x * x)) = |x|, so the distance is at least every
     |fl(a_c - p_c)|, in any summation order. The rescue path returns at
     least its scale, the largest of them.
+
+    far is the hypot over the axes of r_c = max(fl(p_c - lo_c), fl(hi_c -
+    p_c)), raised by d * 2**-50 relative and d * 2**-1070 absolute. By
+    monotonic rounding |fl(a_c - p_c)| <= r_c. ``euclidean`` exceeds the
+    exact norm of those differences by at most d + 3 roundings on either
+    path, plus half a subnormal step; each of the d - 1 hypot calls falls
+    short by at most one ulp or one subnormal step. The relative margin
+    covers the roundings and the absolute one, exact on the subnormal grid,
+    the steps. (Summed squares would underflow below about 1e-154.)
     """
+    d = coords.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.maximum(lo[:, None] - coords, coords - hi[:, None]).max(axis=0)
+        below, above = lo[:, None] - coords, coords - hi[:, None]
+        far = np.hypot.reduce(-np.minimum(below, above), axis=0)  # -fl(lo - p) = fl(p - lo)
+        return np.maximum(below, above).max(axis=0), far * (1 + d * 2**-50) + d * 2**-1070
 
 
 def _select_pruned(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """kNN of all points, one spatial leaf of queries at a time, over only
     the columns that the box bound cannot rule out.
 
-    A leaf's pilot is its own points and those of the leaves with the
-    nearest centres, at least _PILOT_PER_K * (k + 1) >= k + 1 points. Every
-    query's k-th distance is at most R, the largest k-th distance from a
-    leaf row to the pilot. A column whose box gap is strictly greater than
-    R is therefore farther than every row's k-th neighbor and ties none, so
-    it is dropped. The rest, pilot distances reused, stay in ascending
-    index order, so ``select_knn_rows`` breaks ties by index as over all n
-    columns.
+    Each leaf row is within every point's far bound of it, so it has at
+    least k other points within R, the (k + 1)-th smallest far bound over
+    all n points. A column whose gap is strictly greater than R is
+    therefore farther than every row's k-th neighbor and ties none, so it
+    is dropped. The rest are computed once, in ascending index order, so
+    ``select_knn_rows`` breaks ties by index as over all n columns.
     """
     n = points.shape[0]
     indices = np.empty((n, k), dtype=np.int32)
     distances = np.empty((n, k), dtype=np.float64)
-    leaves = _leaves(points)
-    lo = np.array([points[leaf].min(axis=0) for leaf in leaves])
-    hi = np.array([points[leaf].max(axis=0) for leaf in leaves])
-    with np.errstate(over="ignore", invalid="ignore"):
-        centres = lo / 2 + hi / 2
-    sizes = np.array([leaf.size for leaf in leaves])
     coords = np.ascontiguousarray(points.T)
-    in_pilot = np.zeros(n, dtype=bool)
-    for i, leaf in enumerate(leaves):
-        with np.errstate(over="ignore", invalid="ignore"):
-            order = np.argsort(np.abs(centres - centres[i]).max(axis=1), kind="stable")
-        order = np.concatenate([[i], order[order != i]])
-        count = np.searchsorted(np.cumsum(sizes[order]), _PILOT_PER_K * (k + 1)) + 1
-        pilot = np.sort(np.concatenate([leaves[j] for j in order[:count]]))
+    for leaf in _leaves(points):
         queries = points[leaf]
-        pilot_rows = np.empty((leaf.size, pilot.size))
-        _fill_distances(queries, points[pilot], pilot_rows)
-        # Each row's own zero is among the k + 1 smallest, so this is the
-        # k-th distance to the other pilot points (NaN keeps every column).
-        radius = np.partition(pilot_rows, k, axis=1)[:, k].max()
-        cols = np.flatnonzero(~(_box_gap(lo[i], hi[i], coords) > radius))
-        in_pilot[pilot] = True
-        reused = in_pilot[cols]
-        in_pilot[pilot] = False
+        lo, hi = queries.min(axis=0), queries.max(axis=0)
+        gap, far = _box_bounds(lo, hi, coords)
+        # NaN bounds sort last; a NaN R keeps every column.
+        cols = np.flatnonzero(~(gap > np.partition(far, k)[k]))
         rows = np.empty((leaf.size, cols.size))
-        rows[:, reused] = pilot_rows[:, np.searchsorted(pilot, cols[reused])]
-        fresh = cols[~reused]
-        fresh_rows = np.empty((leaf.size, fresh.size))
-        _fill_distances(queries, points[fresh], fresh_rows)
-        rows[:, ~reused] = fresh_rows
+        _fill_distances(queries, points[cols], rows)
         pos, distances[leaf] = select_knn_rows(rows, np.searchsorted(cols, leaf), k)
         indices[leaf] = cols[pos]
     return indices, distances

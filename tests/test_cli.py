@@ -540,11 +540,49 @@ def test_report_writes_nothing_unless_every_analysis_succeeds(records_csv, tmp_p
 
 def test_run_threads_must_be_an_integer(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "r.csv")
-    assert run_cli("run", "--data", "x.csv", "--threads", "abc", "--out", out) == 1
-    assert "'abc'" in capsys.readouterr().err
-    monkeypatch.setenv("DAODET_THREADS", "2x")
-    assert run_cli("run", "--data", "x.csv", "--out", out) == 1
-    assert "'2x'" in capsys.readouterr().err
+    for bad in ("abc", "0", "-1"):
+        assert run_cli("run", "--data", "x.csv", "--threads", bad, "--out", out) == 1
+        assert f"'{bad}'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("data = x.csv\nthreads = 0\n")
+    assert run_cli("run", "--config", str(cfg), "--out", out) == 1
+    assert "'0'" in capsys.readouterr().err
+    for bad in ("2x", "-1"):
+        monkeypatch.setenv("DAODET_THREADS", bad)
+        assert run_cli("run", "--data", "x.csv", "--out", out) == 1
+        assert f"'{bad}'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_run_pool_has_no_more_workers_than_files(synth_dir, records_csv, tmp_path, monkeypatch):
+    from daodet import cli
+
+    pools = []
+
+    class SpyPool:  # records the pool size and maps in process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
+    grid = ("--k", "5..15:5", "--lid-grid", "5,10")
+    one = sorted(synth_dir.glob("*.csv"))[0]
+    assert run_cli("run", "--data", str(one), *grid, "--threads", "64",
+                   "--out", str(tmp_path / "one.csv")) == 0
+    assert pools == []  # one file runs serially
+    out = tmp_path / "all.csv"
+    assert run_cli("run", "--data", str(synth_dir), *grid, "--threads", "64",
+                   "--out", str(out)) == 0
+    assert pools == [len(list(synth_dir.glob("*.csv")))]  # 4 files, 4 workers
+    assert out.read_bytes() == records_csv.read_bytes()
 
 
 def test_labelled_csv_with_blank_first_line(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,22 @@ def test_lof_matches_naive_reference(rng):
     g = build_neighbor_graph(pts, kmax=15)
     for k in (3, 10, 15):
         np.testing.assert_allclose(score_lof(g, k).scores, naive_lof(pts, k), rtol=1e-12)
+
+
+def test_lof_peak_is_one_block():
+    # reach is freed before lrd is gathered over the neighbors, so the two
+    # (n, k) blocks are never held at once.
+    n, k = 4000, 100
+    rng = np.random.default_rng(1)
+    indices = (np.arange(n)[:, None] + rng.integers(1, n, (n, k))) % n
+    g = fake_graph(indices, np.sort(rng.uniform(0.5, 2.0, (n, k)), axis=1))
+    tracemalloc.start()
+    try:
+        score_lof(g, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * k * 8
 
 
 def test_dao_hand_case():

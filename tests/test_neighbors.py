@@ -301,6 +301,7 @@ def test_path_choice_pins_the_pairs_computed(monkeypatch):
     pruned = build_neighbor_graph(pts, 100)
     assert counts.max() == 1
     pruned_pairs = counts.sum(dtype=np.int64)
+    assert pruned_pairs == 413746  # 7.2% of n^2
     counts[:] = 0
     monkeypatch.setattr(neighbors, "_PRUNE_N_PER_K", 1 << 30)
     tiles = build_neighbor_graph(pts, 100)
@@ -317,22 +318,46 @@ _coordinate = (
 )
 
 
+_SUBNORMAL_PAIR = np.array([-5.831153781648e-311, 1.42033098865543e-310])
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     st.integers(1, 6).flatmap(
         lambda d: st.tuples(*[hnp.arrays(np.float64, d, elements=_coordinate)] * 3)
     )
 )
+# Subnormal differences: euclidean lands one step above their hypot, so
+# only the absolute margin keeps the far bound above it.
+@example((_SUBNORMAL_PAIR, np.array([-1.5336246132874e-310, -2.96329338020006e-310]),
+          _SUBNORMAL_PAIR))
 def test_euclidean_bounds_every_coordinate_gap(abc):
-    """The pruned build's bound, in any order of summation: the distance is
-    at least each |fl(a_c - b_c)|, so at least b's gap to a box holding a."""
+    """The pruned build's bounds, in any order of summation: the distance is
+    at least each |fl(a_c - b_c)|, so at least b's gap to a box holding a,
+    and at most b's far bound to that box."""
     a, b, c = abc
     lo, hi = np.minimum(a, c), np.maximum(a, c)  # a box holding a (and c)
-    gap = neighbors._box_gap(lo, hi, b[:, None])[0]
+    (gap,), (far,) = neighbors._box_bounds(lo, hi, b[:, None])
     for perm in (np.arange(a.size), np.arange(a.size)[::-1], np.roll(np.arange(a.size), 1)):
         dist = euclidean(a[perm], b[perm])
         assert dist >= np.max(np.abs(a - b))
         assert dist >= gap
+        assert dist <= far
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e300])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pruned_graph_equals_oracle_at_extreme_scales(scale, dim, monkeypatch):
+    # Subnormal, underflowing-square and overflowing-square coordinates; d=3
+    # is let through the path rule, which otherwise holds at this n and kmax.
+    monkeypatch.setattr(neighbors, "_PRUNE_MAX_D", dim)
+    n, kmax = 2100, 100
+    assert neighbors._prunes(n, kmax, dim)
+    pts = np.random.default_rng(dim).standard_normal((n, dim)) * scale
+    g = build_neighbor_graph(pts, kmax)
+    oi, od = _row_oracle(pts, kmax)
+    assert g.indices.tobytes() == oi.tobytes()
+    assert g.distances.tobytes() == od.tobytes()
 
 
 def _lexsort_select(dist_rows, self_idx, k):
@@ -559,12 +584,17 @@ def test_far_apart_distance_does_not_overflow():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_distance_beyond_float_range_rejected():
     assert euclidean(np.array([1.5e308, 1.5e308]), np.zeros(2)) == np.inf
-    for pts in (
-        np.array([[0.0, 0.0], [1.5e308, 1.5e308], [1.0, 1.0]]),  # finite differences
-        np.array([[-1.5e308], [1.5e308], [0.0]]),  # the difference itself overflows
-    ):
-        with pytest.raises(ValueError, match="non-finite distances"):
-            build_neighbor_graph(pts, kmax=2)
+    for path in ("tiles", "pruned"):
+        with pytest.MonkeyPatch.context() as mp:
+            if path == "pruned":
+                # One-point leaves: a far bound, so R, and a gap are infinite.
+                _force_pruned(mp, 1)
+            for pts in (
+                np.array([[0.0, 0.0], [1.5e308, 1.5e308], [1.0, 1.0]]),  # finite differences
+                np.array([[-1.5e308], [1.5e308], [0.0]]),  # the difference itself overflows
+            ):
+                with pytest.raises(ValueError, match="non-finite distances"):
+                    build_neighbor_graph(pts, kmax=2)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf

@@ -3,8 +3,9 @@
 A NeighborGraph holds, for every point, its kmax nearest neighbors sorted
 by ascending distance, ties broken by ascending point index. The query
 point is never its own neighbor. Every stored distance is the canonical
-``euclidean`` value, so graphs are bitwise reproducible. Builds compute all
-pairs, or, in low dimensions, all pairs but those an exact bound rules out.
+``euclidean`` value, so graphs are bitwise reproducible. A build computes
+the pairs of spatial leaves that an exact box bound cannot rule out, each
+pair once while its store has room.
 """
 
 from __future__ import annotations
@@ -20,18 +21,12 @@ import numpy as np
 from .dataset import Dataset, _replacing
 
 _CHUNK_ROWS = 128
-# Cap on the (rows, columns, d) difference temporary of one euclidean call.
+# Cap on the temporaries of one blocked euclidean call, and of lid's row blocks.
 _BLOCK_BYTES = 4 << 20
-# Cap on the bytes of distance tiles a graph build keeps for later chunks.
-# The whole store, (n/2)^2 * 8 bytes at its peak, fits up to n of about 2000;
-# beyond that, the tiles that do not fit are recomputed.
-_STORE_BYTES = 8 << 20
-# The pruned build runs for d <= _PRUNE_MAX_D and n >= _PRUNE_N_PER_K * (kmax + 1)
-# when the store cannot hold every tile; there it was faster than the tile path
-# on every input of the measured grid (BENCH_box_pruning.json). Its leaves hold
-# at most _LEAF_ROWS points.
-_PRUNE_MAX_D = 2
-_PRUNE_N_PER_K = 6
+# Cap on the bytes of leaf blocks a graph build keeps for later leaves; the
+# blocks that do not fit are recomputed.
+_STORE_BYTES = 1 << 20
+# The build's spatial leaves hold at most _LEAF_ROWS points.
 _LEAF_ROWS = 64
 _TINY = np.finfo(np.float64).tiny
 # Selection keys: the +inf bit pattern, above which lie only the bits of
@@ -92,10 +87,10 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     sq = np.einsum("...i,...i->...", diff, diff)
-    dist = np.sqrt(sq)
     rescue = sq < _TINY
     if np.max(sq, initial=0.0) == np.inf:  # one reduction keeps the common case cheap
         rescue |= sq == np.inf
+    dist = np.sqrt(sq, out=sq if isinstance(sq, np.ndarray) else None)  # in place for arrays
     rescue = np.flatnonzero(rescue)
     if rescue.size == 0:
         return dist
@@ -113,107 +108,79 @@ def _fill_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """Write the distances from the rows of ``a`` to the rows of ``b`` into ``out``.
 
     Each ``euclidean`` call covers a block of rows small enough that its
-    (block, len(b), d) difference temporary stays under _BLOCK_BYTES; every
-    pair is still reduced by the same einsum, so the values are those of one
-    call over all the rows and columns.
+    temporaries, the (block, len(b), d) differences, the (block, len(b))
+    distances and their masks, stay under _BLOCK_BYTES; every pair is still
+    reduced by the same einsum, so the values are those of one call over
+    all the rows and columns.
     """
-    block = max(1, _BLOCK_BYTES // (8 * max(b.size, 1)))
+    block = max(1, _BLOCK_BYTES // (8 * max(b.size + 2 * b.shape[0], 1)))
     for lo in range(0, a.shape[0], block):
         out[lo : lo + block] = euclidean(a[lo : lo + block, None, :], b[None, :, :])
 
 
 def distance_matrix(data: Dataset | np.ndarray) -> np.ndarray:
     """All pairwise distances, bitwise equal to one
-    ``euclidean(points[:, None, :], points[None, :, :])`` call, from the
-    rows of ``_chunk_distances``: the graph build's tiling, which computes
-    each pair once while its store holds every tile (n up to about 2000)."""
+    ``euclidean(points[:, None, :], points[None, :, :])`` call: each chunk
+    of _CHUNK_ROWS rows is computed from its diagonal onwards and mirrored
+    below it (``euclidean`` is symmetric bit for bit)."""
     points = _points(data)
-    out = np.empty((points.shape[0],) * 2)
-    for start, rows in _chunk_distances(points):
-        out[start : start + rows.shape[0]] = rows
+    n = points.shape[0]
+    out = np.empty((n, n))
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        _fill_distances(points[lo:hi], points[lo:], out[lo:hi, lo:])
+        out[hi:, lo:hi] = out[lo:hi, hi:].T
     return out
 
 
-def _chunk_distances(points: np.ndarray):
-    """Yield (start, rows): the distances from each _CHUNK_ROWS chunk of
-    points, in order, to all points, as a (chunk rows, n) view of one
-    buffer that the next chunk overwrites.
-
-    A chunk computes its columns from its first row onwards and keeps copies
-    of the tiles that the nearest later chunks need, while the tiles held
-    stay within _STORE_BYTES. A later chunk takes those columns from the
-    tiles, transposed (``euclidean`` is symmetric bit for bit), and computes
-    the columns whose tiles did not fit.
-    """
-    n = points.shape[0]
-    bounds = list(range(0, n, _CHUNK_ROWS)) + [n]
-    # One buffer for the whole build, so no chunk faults in fresh pages.
-    buf = np.empty((min(_CHUNK_ROWS, n), n))
-    store: dict[tuple[int, int], np.ndarray] = {}  # (from chunk, for chunk) -> tile
-    held = 0
-    for c in range(len(bounds) - 1):
-        start, stop = bounds[c], bounds[c + 1]
-        rows = buf[: stop - start]
-        runs = []  # column ranges to compute, adjacent ones merged
-        for p in range(c + 1):
-            tile = store.pop((p, c), None)  # never one for the chunk's own columns
-            if tile is not None:
-                rows[:, bounds[p] : bounds[p + 1]] = tile.T
-                held -= tile.nbytes
-            elif runs and runs[-1][1] == bounds[p]:
-                runs[-1][1] = bounds[p + 1]
-            else:
-                runs.append([bounds[p], bounds[p + 1]])
-        runs[-1][1] = n  # the last run ends with the chunk's own columns
-        for lo, hi in runs:
-            _fill_distances(points[start:stop], points[lo:hi], rows[:, lo:hi])
-        for q in range(c + 1, len(bounds) - 1):
-            tile = rows[:, bounds[q] : bounds[q + 1]]
-            if held + tile.nbytes > _STORE_BYTES:
-                break
-            store[c, q] = tile.copy()
-            held += tile.nbytes
-        yield start, rows
-
-
-def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
+def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int, cols=None):
     """Exact k smallest entries per row under the (distance, index) order.
 
-    dist_rows: (m, n) distances from m queries to all n points; self_idx
-    gives each query's own column, which is excluded. Returns (indices,
-    distances) of shape (m, k), int32 and float64, rows sorted ascending,
-    ties by index.
+    dist_rows: (m, n) distances from m queries to n points; self_idx gives
+    each query's own column, which is excluded. cols gives each column's
+    point index, distinct and non-negative (default: the column's
+    position); ties break by it, and the indices returned are these.
+    Returns (indices, distances) of shape (m, k), int32 and float64, rows
+    sorted ascending, ties by index.
     dist_rows itself is left unmodified.
     """
     src = np.asarray(dist_rows, dtype=np.float64)
     self_idx = np.asarray(self_idx)
     m, n = src.shape
+    labels = np.arange(n) if cols is None else np.asarray(cols)
     rows = np.arange(m)
     # One uint64 key per entry: the distance's raw bits with the low b bits
-    # replaced by the column, so keys are distinct and equal distances order
-    # by index. The bits are copied, never computed on. They order as the
-    # distances only without a sign bit or a NaN.
-    b = max(1, (n - 1).bit_length())
+    # replaced by the column's index, so keys are distinct and equal
+    # distances order by index. The bits are copied, never computed on. They
+    # order as the distances only without a sign bit or a NaN.
+    top = int(labels.max())
+    b = max(1, top.bit_length())
     mask = np.uint64((1 << b) - 1)
     raw = src.view(np.uint64)
     signed = bool(raw.max(initial=0) > _INF_BITS)  # read before the keys, while raw is warm
     keys = np.bitwise_and(raw, ~mask, order="C")
-    keys |= np.arange(n, dtype=np.uint64)
+    keys |= labels.astype(np.uint64)
     keys[rows, self_idx] = _SELF_KEY
     if k < n - 1:
         keys.partition(k, axis=1)
     sel = keys[:, : k + 1]
     sel.sort(axis=1)
     idx = (sel[:, :k] & mask).astype(np.int32)
+    pos = idx
+    if cols is not None:  # each selected index's column
+        pos = np.empty(top + 1, dtype=np.intp)
+        pos[labels] = np.arange(n)
+        pos = pos[idx]
     flat = src.reshape(-1)  # a view unless src is not C-contiguous
-    dist = np.take(flat, idx + (rows * n)[:, None])
+    dist = np.take(flat, pos + (rows * n)[:, None])
 
     # Distinct distances that agree above the low b bits share a truncated
     # key and so fall back to index order. A row is wrong only where its
     # selected distances decrease, or where the k-th and (k+1)-th share a
     # truncated key and a column left out is exactly below the k-th. Such
     # rows, and rows with a sign bit or a NaN, are re-sorted whole by a
-    # stable float sort: NaN last, -0.0 equal to 0.0, ties in index order.
+    # stable float sort over the columns in index order: NaN last, -0.0
+    # equal to 0.0, ties in index order.
     bits = dist.view(np.uint64)
     bad = (bits[:, 1:] < bits[:, :-1]).any(axis=1)
     if signed:
@@ -226,27 +193,12 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int):
         bad[wide] |= below > np.count_nonzero(bits[wide] < kth, axis=1)
     redo = np.flatnonzero(bad)
     if redo.size:
-        order = np.argsort(src[redo], axis=1, kind="stable")
+        by_index = np.argsort(labels)
+        order = by_index[np.argsort(src[redo][:, by_index], axis=1, kind="stable")]
         order = order[order != self_idx[redo, None]].reshape(redo.size, n - 1)[:, :k]
-        idx[redo] = order
+        idx[redo] = labels[order]
         dist[redo] = np.take_along_axis(src[redo], order, axis=1)
     return idx, dist
-
-
-def _select_by_chunks(n: int, k: int, chunks) -> tuple[np.ndarray, np.ndarray]:
-    """kNN of all n points, one chunk of queries at a time.
-
-    chunks yields (start, rows), the distances from queries start onwards
-    to all n points, covering all n queries.
-    """
-    indices = np.empty((n, k), dtype=np.int32)
-    distances = np.empty((n, k), dtype=np.float64)
-    for start, rows in chunks:
-        stop = start + rows.shape[0]
-        indices[start:stop], distances[start:stop] = select_knn_rows(
-            rows, np.arange(start, stop), k
-        )
-    return indices, distances
 
 
 def select_knn_all(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,8 +208,12 @@ def select_knn_all(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     allocations stay small.
     """
     n = dists.shape[0]
-    chunks = ((start, dists[start : start + _CHUNK_ROWS]) for start in range(0, n, _CHUNK_ROWS))
-    return _select_by_chunks(n, k, chunks)
+    indices = np.empty((n, k), dtype=np.int32)
+    distances = np.empty((n, k), dtype=np.float64)
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        indices[lo:hi], distances[lo:hi] = select_knn_rows(dists[lo:hi], np.arange(lo, hi), k)
+    return indices, distances
 
 
 def _leaves(points: np.ndarray) -> list[np.ndarray]:
@@ -278,67 +234,49 @@ def _leaves(points: np.ndarray) -> list[np.ndarray]:
     return leaves
 
 
-def _box_bounds(lo: np.ndarray, hi: np.ndarray, coords: np.ndarray):
-    """Each point p's bounds (gap, far) on its ``euclidean`` distance to any
-    point a of the box [lo, hi]. ``coords`` holds the points' coordinates as
-    rows, (d, n), so that the reductions over the axes run over whole rows.
+def _box_bounds(lo_a, hi_a, lo_b, hi_b):
+    """Bounds (gap, far) on the ``euclidean`` distance between any point a
+    of the box [lo_a, hi_a] and any point b of the box [lo_b, hi_b]. The
+    axes run along the first dimension, so the reductions over them run
+    over whole rows; the other dimensions broadcast. A point p is the box
+    [p, p].
 
-    gap = max_c max(fl(lo_c - p_c), fl(p_c - hi_c)), at most 0 inside the
-    box. Rounding is monotonic, so |fl(a_c - p_c)| is at least the gap on
-    one axis; a sum of non-negative floats rounds to at least each term,
-    and sqrt(fl(x * x)) = |x|, so the distance is at least every
-    |fl(a_c - p_c)|, in any summation order. The rescue path returns at
-    least its scale, the largest of them.
+    Per axis, g_c = max(0, fl(lo_b - hi_a), fl(lo_a - hi_b)) and r_c =
+    max(fl(hi_b - lo_a), fl(hi_a - lo_b)). Rounding is monotonic, so g_c <=
+    |fl(a_c - b_c)| <= r_c.
 
-    far is the hypot over the axes of r_c = max(fl(p_c - lo_c), fl(hi_c -
-    p_c)), raised by d * 2**-50 relative and d * 2**-1070 absolute. By
-    monotonic rounding |fl(a_c - p_c)| <= r_c. ``euclidean`` exceeds the
-    exact norm of those differences by at most d + 3 roundings on either
-    path, plus half a subnormal step; each of the d - 1 hypot calls falls
-    short by at most one ulp or one subnormal step. The relative margin
-    covers the roundings and the absolute one, exact on the subnormal grid,
-    the steps. (Summed squares would underflow below about 1e-154.)
+    gap is the larger of max_c g_c and H(g) lowered by d * 2**-50 relative
+    and d * 2**-1070 absolute; far is H(r) raised by the same margins, where H
+    is ``_hypot``. A sum of non-negative floats rounds to at least each
+    term and sqrt(fl(x * x)) = |x|, so the distance is at least every
+    |fl(a_c - b_c)|, in any summation order; the rescue path returns at
+    least its scale, the largest of them. So it is at least max_c g_c.
+    ``euclidean`` is within d + 3 roundings of the exact norm of the rounded
+    differences on either path, plus half a subnormal step. H is within
+    3d - 1 roundings of the exact hypot: the largest quotient is exactly 1,
+    so d - 1 quotients, d - 1 squares, d - 1 additions, the sqrt and the
+    product round, and a quotient that underflows drops a term below
+    2**-1022 of a sum of at least 1. With the margin's own two roundings
+    that is at most 4d + 4 roundings, within the 8d of the relative margin;
+    for d = 1 both are exact. The absolute margin covers the subnormal
+    steps. (Summed squares unscaled would underflow below about 1e-154.)
     """
-    d = coords.shape[0]
+    d = lo_a.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        below, above = lo[:, None] - coords, coords - hi[:, None]
-        far = np.hypot.reduce(-np.minimum(below, above), axis=0)  # -fl(lo - p) = fl(p - lo)
-        return np.maximum(below, above).max(axis=0), far * (1 + d * 2**-50) + d * 2**-1070
+        g = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
+        r = np.maximum(hi_b - lo_a, hi_a - lo_b)
+        low = _hypot(g) * (1 - d * 2**-50) - d * 2**-1070
+        return np.maximum(g.max(axis=0), low), _hypot(r) * (1 + d * 2**-50) + d * 2**-1070
 
 
-def _select_pruned(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """kNN of all points, one spatial leaf of queries at a time, over only
-    the columns that the box bound cannot rule out.
-
-    Each leaf row is within every point's far bound of it, so it has at
-    least k other points within R, the (k + 1)-th smallest far bound over
-    all n points. A column whose gap is strictly greater than R is
-    therefore farther than every row's k-th neighbor and ties none, so it
-    is dropped. The rest are computed once, in ascending index order, so
-    ``select_knn_rows`` breaks ties by index as over all n columns.
-    """
-    n = points.shape[0]
-    indices = np.empty((n, k), dtype=np.int32)
-    distances = np.empty((n, k), dtype=np.float64)
-    coords = np.ascontiguousarray(points.T)
-    for leaf in _leaves(points):
-        queries = points[leaf]
-        lo, hi = queries.min(axis=0), queries.max(axis=0)
-        gap, far = _box_bounds(lo, hi, coords)
-        # NaN bounds sort last; a NaN R keeps every column.
-        cols = np.flatnonzero(~(gap > np.partition(far, k)[k]))
-        rows = np.empty((leaf.size, cols.size))
-        _fill_distances(queries, points[cols], rows)
-        pos, distances[leaf] = select_knn_rows(rows, np.searchsorted(cols, leaf), k)
-        indices[leaf] = cols[pos]
-    return indices, distances
-
-
-def _prunes(n: int, kmax: int, d: int) -> bool:
-    """Whether build_neighbor_graph takes the pruned path. While the store
-    holds every tile, (n/2)^2 * 8 bytes, the tile path computes each pair
-    once, which pruning did not beat on the measured grid."""
-    return d <= _PRUNE_MAX_D and n >= _PRUNE_N_PER_K * (kmax + 1) and 2 * n * n > _STORE_BYTES
+def _hypot(x: np.ndarray) -> np.ndarray:
+    """The hypot over the first axis of the non-negative x, as
+    top * sqrt(sum_c (x_c / top)**2) with top its largest term; top itself
+    where that is NaN (top zero, infinite or NaN)."""
+    top = x.max(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        q = x / top
+        return np.fmax(top * np.sqrt(np.einsum("i...,i...->...", q, q)), top)
 
 
 def _points(data: Dataset | np.ndarray) -> np.ndarray:
@@ -346,17 +284,77 @@ def _points(data: Dataset | np.ndarray) -> np.ndarray:
 
 
 def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph:
-    """Exact kNN graph for all points: over row chunks and the tile store,
-    or, in low dimensions with n large against kmax, over spatial leaves
-    whose pairs beyond an exact box bound are skipped."""
+    """Exact kNN graph for all points, one spatial leaf of queries at a time,
+    over the leaves that an exact box bound cannot rule out.
+
+    The points are taken in leaf order. Every point of leaf b is within
+    far(a, b) of every row of leaf a, so those rows have at least kmax other
+    points within R_a, the smallest far(a, b) whose leaves hold kmax + 1
+    points. A leaf whose gap to leaf a is strictly greater than R_a is
+    therefore farther than every row's kmax-th neighbor and ties none, so
+    leaf a skips it. A block that two leaves both need is computed once, by
+    the first of them, and its transpose serves the other from a store
+    capped at _STORE_BYTES (``euclidean`` is symmetric bit for bit); a
+    block that did not fit is recomputed. Any other leaf whose far bound
+    exceeds R_a gives only its points whose own gap is within r_a <= R_a:
+    the (kmax + 1)-th smallest far bound over the points taken whole, by
+    their leaf's bound, and those points, by their own.
+    ``select_knn_rows`` breaks ties by point index, whatever the order of
+    the columns.
+    """
     points = _points(data)
     n = points.shape[0]
     if not 1 <= kmax <= n - 1:
         raise ValueError(f"kmax={kmax} out of range [1, {n - 1}]")
-    if _prunes(n, kmax, points.shape[1]):
-        indices, distances = _select_pruned(points, kmax)
-    else:
-        indices, distances = _select_by_chunks(n, kmax, _chunk_distances(points))
+    leaves = _leaves(points)
+    order = np.concatenate(leaves)  # the point at each position of the leaf order
+    pts = points[order]
+    starts = np.cumsum([0] + [leaf.size for leaf in leaves])
+    sizes = np.diff(starts)
+    lo, hi = np.minimum.reduceat(pts, starts[:-1]).T, np.maximum.reduceat(pts, starts[:-1]).T
+    gap, far = _box_bounds(lo[:, :, None], hi[:, :, None], lo[:, None, :], hi[:, None, :])
+    by_far = np.argsort(far, axis=1)  # NaN last; a NaN R keeps every leaf
+    count = np.cumsum(sizes[by_far], axis=1)
+    R = np.take_along_axis(far, by_far, 1)[np.arange(sizes.size), np.argmax(count > kmax, 1)]
+    need = ~(gap > R[:, None])  # need[a, b]: leaf a's rows take leaf b's points as columns
+    shared = need & need.T
+    leaf_of = np.repeat(np.arange(sizes.size), sizes)
+
+    indices = np.empty((n, kmax), dtype=np.int32)
+    distances = np.empty((n, kmax), dtype=np.float64)
+    buf = np.empty(0)  # one buffer for the whole build, grown to the widest leaf block
+    store: dict[tuple[int, int], np.ndarray] = {}  # (for leaf, from leaf) -> block
+    for a, rows in enumerate(np.split(pts, starts[1:-1])):
+        m = rows.shape[0]
+        kept = [b for b in np.flatnonzero(shared[a, :a]).tolist() if (a, b) in store]
+        # Room for the blocks of the nearest later partners, computed whole.
+        later = np.flatnonzero(shared[a, a + 1 :]) + a + 1
+        held = sum(block.nbytes for block in store.values())
+        later = later[held + np.cumsum(m * sizes[later] * 8) <= _STORE_BYTES]
+        mine = need[a].copy()
+        mine[kept] = False
+        # The other leaves that straddle R_a give only their points within r.
+        split = mine & (far[a] > R[a])
+        split[later] = False
+        whole = need[a] & ~split
+        cross = np.flatnonzero(split[leaf_of])
+        p = pts[cross].T
+        gap_p, far_p = _box_bounds(lo[:, a, None], hi[:, a, None], p, p)
+        r = np.partition(np.concatenate([np.repeat(far[a, whole], sizes[whole]), far_p]), kmax)[kmax]
+        reach = mine[leaf_of]
+        reach[cross] = ~(gap_p > r)
+        fresh = np.flatnonzero(reach)
+        cols = np.concatenate([fresh, *(np.arange(starts[b], starts[b + 1]) for b in kept)])
+        if buf.size < m * cols.size:
+            buf = np.empty(m * cols.size)
+        out = buf[: m * cols.size].reshape(m, cols.size)
+        _fill_distances(rows, pts[fresh], out[:, : fresh.size])
+        if kept:  # their points as columns
+            np.concatenate([store.pop((a, b)) for b in kept], out=out[:, fresh.size :].T)
+        own = np.searchsorted(fresh, starts[a]) + np.arange(m)
+        indices[leaves[a]], distances[leaves[a]] = select_knn_rows(out, own, kmax, order[cols])
+        for b, at in zip(later.tolist(), np.searchsorted(fresh, starts[later]).tolist()):
+            store[b, a] = out[:, at : at + sizes[b]].copy()
     # Rows are non-decreasing with NaN last, so the last column is finite
     # only when every column is.
     if not np.isfinite(distances[:, -1]).all():

@@ -7,11 +7,16 @@ the CLI and shared by the trend, regression, and report criteria.
 
 import csv
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from daodet.cli import main as cli_main
 from daodet.detectors import score_dao, score_lof, score_slof
@@ -40,40 +45,40 @@ def report(num: int, passed: bool, detail: str) -> bool:
     return passed
 
 
+def desk_chain(root: Path) -> list[list[str]]:
+    """The CLI arguments of gen, run and report over the desk-scale suite,
+    writing root/records.csv and root/report."""
+    return [
+        [
+            "gen", "--reps", str(DESK_REPS), "--dims", ",".join(map(str, DESK_DIMS)),
+            "--seed", str(DESK_SEED), "--out", str(root / "data"),
+        ],
+        [
+            "run", "--data", str(root / "data"), "--k", "5..100:5",
+            "--estimator", "mle", "--out", str(root / "records.csv"),
+        ],
+        [
+            "report", "--records", str(root / "records.csv"),
+            "--analysis", "fig1", "fig2", "ranks", "tables", "--out", str(root / "report"),
+            "--alpha", "0.05",
+        ],
+    ]
+
+
 @pytest.fixture(scope="module")
 def desk_records(tmp_path_factory):
     """gen + run over the desk-scale suite, through the CLI."""
     root = tmp_path_factory.mktemp("desk")
-    data_dir = root / "data"
-    records_csv = root / "records.csv"
-    assert cli_main(
-        [
-            "gen", "--reps", str(DESK_REPS), "--dims", ",".join(map(str, DESK_DIMS)),
-            "--seed", str(DESK_SEED), "--out", str(data_dir),
-        ]
-    ) == 0
-    assert cli_main(
-        [
-            "run", "--data", str(data_dir), "--k", "5..100:5",
-            "--estimator", "mle", "--out", str(records_csv),
-        ]
-    ) == 0
-    return records_csv, read_records_csv(records_csv)
+    for args in desk_chain(root)[:2]:
+        assert cli_main(args) == 0
+    return root / "records.csv", read_records_csv(root / "records.csv")
 
 
 @pytest.fixture(scope="module")
 def desk_report(desk_records):
     """(exit code, out dir) of ``report`` with all four analyses on the desk records."""
     records_csv, _ = desk_records
-    out = records_csv.parent / "report"
-    code = cli_main(
-        [
-            "report", "--records", str(records_csv),
-            "--analysis", "fig1", "fig2", "ranks", "tables", "--out", str(out),
-            "--alpha", "0.05",
-        ]
-    )
-    return code, out
+    return cli_main(desk_chain(records_csv.parent)[2]), records_csv.parent / "report"
 
 
 def mean_auc(records, detector, dim):
@@ -300,7 +305,28 @@ def test_criterion_10_report_pipeline(desk_records, desk_report):
     )
 
 
+# numpy's log and exp round differently with AVX-512 (the X86_V4 dispatch
+# level) than below it, so each level has its own pins.
 PINS = Path(__file__).with_name("desk_seed42.sha256")
+PINS_X86_V3 = Path(__file__).with_name("desk_seed42_x86v3.sha256")
+BELOW_X86_V4 = "AVX512_SPR AVX512_ICL X86_V4"  # NPY_DISABLE_CPU_FEATURES for X86_V3
+
+
+def output_hashes(root: Path) -> dict[str, str]:
+    """SHA-256 of records.csv and every report file under root."""
+    paths = [root / "records.csv", *sorted((root / "report").iterdir())]
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+def pin_mismatches(pins: Path, got: dict[str, str]) -> list[str]:
+    lines = pins.read_text().splitlines()
+    made_with = [line for line in lines if line.startswith("#")]
+    pinned = dict(reversed(line.split("  ", 1)) for line in lines if not line.startswith("#"))
+    differ = sorted(f for f in pinned.keys() | got.keys() if pinned.get(f) != got.get(f))
+    if differ:
+        return [f"outputs differ from {pins.name}: {differ}; pins made with {made_with},"
+                f" this run has numpy {np.__version__} (see numpy.show_runtime())"]
+    return []
 
 
 def test_desk_outputs_match_seed42_pins(desk_records, desk_report):
@@ -309,22 +335,35 @@ def test_desk_outputs_match_seed42_pins(desk_records, desk_report):
     ``gen --reps 5 --dims 2,8,16,32 --seed 42`` then ``run --k 5..100:5``
     is the desk-cold benchmark chain, so these are its seed-42 outputs. A
     change that alters outputs on purpose regenerates the pins and says
-    so. The pins' comment lines record the numpy build they were made with:
-    einsum and exp may round differently under another build or CPU dispatch.
+    so. The pins' comment lines record the numpy build they were made with;
+    the file is the one for the SIMD level numpy dispatches to here.
     """
     records_csv, _ = desk_records
-    code, out = desk_report
+    code, _ = desk_report
     assert code == 0
-    lines = PINS.read_text().splitlines()
-    made_with = [line for line in lines if line.startswith("#")]
-    pinned = dict(reversed(line.split("  ", 1)) for line in lines if not line.startswith("#"))
-    root = records_csv.parent
-    got = {
-        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in [records_csv, *sorted(out.iterdir())]
-    }
-    differ = sorted(f for f in pinned.keys() | got.keys() if pinned.get(f) != got.get(f))
-    assert not differ, (
-        f"outputs differ from {PINS.name}: {differ}; pins made with {made_with},"
-        f" this run has numpy {np.__version__} (see numpy.show_runtime())"
-    )
+    pins = PINS if __cpu_features__["X86_V4"] else PINS_X86_V3
+    assert not pin_mismatches(pins, output_hashes(records_csv.parent))
+
+
+@pytest.mark.skipif(not __cpu_features__["X86_V4"], reason="the desk chain runs at X86_V3 here")
+def test_desk_outputs_below_x86_v4_match_their_pins(desk_records, desk_report, tmp_path):
+    """The desk chain again, in a process that numpy dispatches below X86_V4:
+    its outputs match their own pins, and the outputs the paper reports
+    (AUCs, best k, ranks and fig1) equal those at X86_V4 byte for byte."""
+    records_csv, v4_records = desk_records
+    assert desk_report[0] == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BELOW_X86_V4,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    chain = "import json, sys\nfrom daodet.cli import main\nfor args in json.loads(sys.argv[1]):\n" \
+            "    assert main(args) == 0, args\n"
+    subprocess.run([sys.executable, "-c", chain, json.dumps(desk_chain(tmp_path))], env=env,
+                   check=True, capture_output=True)
+    assert not pin_mismatches(PINS_X86_V3, output_hashes(tmp_path))
+    level_free = [(r.dataset, r.detector, r.roc_auc, r.best_k, r.best_lid_k)
+                  for r in read_records_csv(tmp_path / "records.csv")]
+    assert level_free == [(r.dataset, r.detector, r.roc_auc, r.best_k, r.best_lid_k)
+                          for r in v4_records]
+    v4_report = records_csv.parent / "report"
+    for name in sorted(p.name for p in v4_report.iterdir() if p.name.startswith(("ranks", "fig1"))):
+        assert (tmp_path / "report" / name).read_bytes() == (v4_report / name).read_bytes(), name

@@ -24,6 +24,7 @@ from daodet.neighbors import (
     select_knn_all,
     select_knn_rows,
 )
+from daodet.synthgen import SynthSpec, generate
 
 from conftest import fake_graph
 
@@ -97,13 +98,14 @@ def _tie_heavy_points(dim):
     )
 
 
-def _force_pruned(mp, leaf_rows):
-    """Send every build through the pruned path, with leaves of at most
-    ``leaf_rows`` points."""
-    mp.setattr(neighbors, "_PRUNE_MAX_D", 1 << 30)
-    mp.setattr(neighbors, "_PRUNE_N_PER_K", 0)
-    mp.setattr(neighbors, "_STORE_BYTES", 0)  # the pruned path keeps no store
-    mp.setattr(neighbors, "_LEAF_ROWS", leaf_rows)
+def _builds(mp):
+    """Yield (leaf rows, store cap) for leaves of 4, 16 and 64 points at
+    store caps 0, one block and unlimited, with the build set to them."""
+    for leaf_rows in (4, 16, 64):
+        for cap in (0, leaf_rows * leaf_rows * 8, 1 << 62):
+            mp.setattr(neighbors, "_LEAF_ROWS", leaf_rows)
+            mp.setattr(neighbors, "_STORE_BYTES", cap)
+            yield leaf_rows, cap
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,10 +113,8 @@ def _force_pruned(mp, leaf_rows):
 def test_graph_equals_oracle_on_ties_for_every_kmax(pts):
     n = len(pts)
     oi, od = brute_oracle(pts, n - 1)
-    for path in ("tiles", "pruned"):
-        with pytest.MonkeyPatch.context() as mp:
-            if path == "pruned":
-                _force_pruned(mp, 4)  # up to six leaves
+    with pytest.MonkeyPatch.context() as mp:
+        for _ in _builds(mp):  # 4-point leaves: up to six of them
             for kmax in range(1, n):
                 g = build_neighbor_graph(pts, kmax=kmax)
                 assert np.array_equal(g.indices, oi[:, :kmax])
@@ -136,23 +136,26 @@ def _row_oracle(points, kmax):
     return indices, dists
 
 
-@pytest.mark.parametrize("leaf_rows", [100, 16])
+_LATTICE = np.column_stack([a.ravel() for a in np.meshgrid(np.arange(40.0), np.arange(40.0))])
+
+
+@pytest.mark.parametrize("leaf_rows", [4, 16, 64, 100])
 def test_pruned_graph_equals_oracle_on_a_lattice(leaf_rows, monkeypatch):
     # 1600 points with many exactly tied distances. 100-point leaves are
-    # 10x10 squares: at kmax 1 each one's R is 1, and a row on the lower
-    # face takes its neighbor one step below it, at a gap of exactly R.
-    xs, ys = np.meshgrid(np.arange(40.0), np.arange(40.0))
-    pts = np.column_stack([xs.ravel(), ys.ravel()])
-    oi, od = _row_oracle(pts, 780)
-    small = pts[(pts < 7).all(axis=1)]
+    # 10x10 squares, one step apart: a row on a leaf's face ties neighbors
+    # inside the leaf and across the face, at distance 1.
+    oi, od = _row_oracle(_LATTICE, 780)
+    small = _LATTICE[(_LATTICE < 7).all(axis=1)]
     assert [a.tobytes() for a in _row_oracle(small, 48)] == [
         a.tobytes() for a in brute_oracle(small, 48)
     ]
-    _force_pruned(monkeypatch, leaf_rows)
-    for kmax in (1, 4, 10, 12, 100, 780):
-        g = build_neighbor_graph(pts, kmax)
-        assert g.indices.tobytes() == oi[:, :kmax].tobytes()
-        assert g.distances.tobytes() == od[:, :kmax].tobytes()
+    monkeypatch.setattr(neighbors, "_LEAF_ROWS", leaf_rows)
+    for cap in (0, leaf_rows * leaf_rows * 8, 1 << 62):
+        monkeypatch.setattr(neighbors, "_STORE_BYTES", cap)
+        for kmax in (1, 4, 10, 12, 100, 780):
+            g = build_neighbor_graph(_LATTICE, kmax)
+            assert g.indices.tobytes() == oi[:, :kmax].tobytes()
+            assert g.distances.tobytes() == od[:, :kmax].tobytes()
 
 
 def test_blocked_distance_rows_equal_single_call(monkeypatch):
@@ -169,10 +172,11 @@ def test_blocked_distance_rows_equal_single_call(monkeypatch):
         return euclidean(a, b)
 
     # Chunks of rows 0-3, 4-7 and 8, each computing its columns from its
-    # first row on. One row per block over 9 columns and two over 5: rows
+    # first row on. One row per block over 9 columns and two over 5 (a row's
+    # temporaries take 8 bytes per column for each of d + 2 values): rows
     # 1|2 and 5|6 sit on either side of a block edge, 3|4 of a chunk edge.
     monkeypatch.setattr(neighbors, "_CHUNK_ROWS", 4)
-    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 2 * 8 * 5 * 2)
+    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 2 * 8 * 5 * (2 + 2))
     monkeypatch.setattr(neighbors, "euclidean", counted)
     blocked = distance_matrix(pts)
     assert calls == [(1, 9)] * 4 + [(2, 5)] * 2 + [(1, 1)]
@@ -205,8 +209,8 @@ def test_euclidean_is_symmetric_bitwise(dim):
 
 def _points_with_rescue_rows(n):
     """Gaussian points in 3-d with near-coincident rows (their squared
-    differences underflow) and far-out rows (theirs overflow) on both sides
-    of the 128-row tile edges."""
+    differences underflow) and far-out rows (theirs overflow), which fall in
+    leaves of their own and at the edges of others."""
     pts = np.random.default_rng(n).standard_normal((n, 3))
     for j, i in enumerate(r for r in (0, 127, 128) if r < n):
         pts[i] = [j * 2.49e-191, 0.0, 0.0]
@@ -215,25 +219,15 @@ def _points_with_rescue_rows(n):
     return pts
 
 
-_TILE_BYTES = 128 * 128 * 8
-
-
 @pytest.mark.parametrize("n", [127, 128, 129, 257])
 def test_graph_equals_oracle_for_every_store_cap(n, monkeypatch):
     pts = _points_with_rescue_rows(n)
     oi, od = brute_oracle(pts, n - 1)
-    for chunk_rows in (128, 32):
-        monkeypatch.setattr(neighbors, "_CHUNK_ROWS", chunk_rows)
-        for cap in (0, _TILE_BYTES, 3 * _TILE_BYTES, 1 << 62, "pruned"):
-            if cap == "pruned":
-                _force_pruned(monkeypatch, chunk_rows // 4)
-            else:
-                monkeypatch.setattr(neighbors, "_STORE_BYTES", cap)
-            for kmax in (1, n // 2, n - 1):
-                g = build_neighbor_graph(pts, kmax)
-                assert g.indices.tobytes() == oi[:, :kmax].tobytes()
-                assert g.distances.tobytes() == od[:, :kmax].tobytes()
-        monkeypatch.undo()
+    for _ in _builds(monkeypatch):
+        for kmax in (1, n // 2, n - 1):
+            g = build_neighbor_graph(pts, kmax)
+            assert g.indices.tobytes() == oi[:, :kmax].tobytes()
+            assert g.distances.tobytes() == od[:, :kmax].tobytes()
 
 
 def _index_coded_points(n, d, seed):
@@ -255,59 +249,62 @@ def _count_pairs(monkeypatch, n):
     return counts
 
 
-def _each_pair_once(n):
-    # Chunks compute their own tile and those right of it; the rest are transposed.
-    chunk = np.arange(n) // 128
-    return np.where(chunk[:, None] == chunk[None, :], 1, chunk[:, None] < chunk[None, :])
+def _pair_total(monkeypatch):
+    """A one-element list holding the number of pairs that euclidean
+    computes from now on."""
+    total = [0]
+
+    def counted(a, b):
+        total[0] += int(np.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])))
+        return euclidean(a, b)
+
+    monkeypatch.setattr(neighbors, "euclidean", counted)
+    return total
 
 
 def test_each_pair_computed_once_with_an_unlimited_store(monkeypatch):
-    n = 300  # chunks of rows 0-127, 128-255 and 256-299
+    n, kmax = 600, 300
     pts = _index_coded_points(n, 2, 1)
+    leaf = np.empty(n, dtype=int)
+    for i, idx in enumerate(neighbors._leaves(pts)):
+        leaf[idx] = i
     counts = _count_pairs(monkeypatch, n)
-    monkeypatch.setattr(neighbors, "_PRUNE_N_PER_K", 1 << 30)  # the tile path
-    once = _each_pair_once(n)
-    monkeypatch.setattr(neighbors, "_STORE_BYTES", 1 << 62)
-    build_neighbor_graph(pts, 5)
-    np.testing.assert_array_equal(counts, once)
+    for cap in (1 << 62, 0):
+        monkeypatch.setattr(neighbors, "_STORE_BYTES", cap)
+        counts[:] = 0
+        build_neighbor_graph(pts, kmax)
+        assert counts.max() == 1  # each leaf's rows, once
+        across = (counts & counts.T).astype(bool) & (leaf[:, None] != leaf[None, :])
+        # Two leaves that both need a block compute it once, while it fits.
+        assert across.any() == (cap == 0)
+
+    # distance_matrix: each chunk of 128 rows from its diagonal on, mirrored.
     counts[:] = 0
     distance_matrix(pts)
-    np.testing.assert_array_equal(counts, once)
-
-    counts[:] = 0
-    monkeypatch.setattr(neighbors, "_STORE_BYTES", 0)
-    build_neighbor_graph(pts, 5)
-    np.testing.assert_array_equal(counts, 1)  # all n^2 pairs
+    chunk = np.arange(n) // 128
+    np.testing.assert_array_equal(counts, chunk[:, None] <= chunk[None, :])
 
 
-def test_path_choice_pins_the_pairs_computed(monkeypatch):
-    # The desk and timing graphs (1600x32, kmax 780) stay on the tile path,
-    # whose store holds every tile at n=1600: each pair once. So do 1600x2
-    # graphs, even with n >> kmax.
-    n = 1600
-    counts = _count_pairs(monkeypatch, n)
-    once = _each_pair_once(n)
-    for d, kmax in ((32, 780), (2, 780), (2, 100)):
-        counts[:] = 0
-        build_neighbor_graph(_index_coded_points(n, d, 1), kmax)
-        np.testing.assert_array_equal(counts, once)
+# Pairs computed by the build at the default leaf size and store cap.
+DESK_PAIRS = 775000  # 30.3% of n^2
+LOWDIM_PAIRS = 268535  # 4.7% of n^2
 
-    # A low-d build with n >> kmax beyond the store's reach is pruned, as the
-    # lowdim graphs (6400x2, kmax 780) are: no pair twice, and fewer in all.
-    assert neighbors._prunes(6400, 780, 2) and not neighbors._prunes(6400, 780, 3)
-    n = 2400
-    counts = _count_pairs(monkeypatch, n)
-    pts = _index_coded_points(n, 2, 2)
-    pruned = build_neighbor_graph(pts, 100)
-    assert counts.max() == 1
-    pruned_pairs = counts.sum(dtype=np.int64)
-    assert pruned_pairs == 413746  # 7.2% of n^2
-    counts[:] = 0
-    monkeypatch.setattr(neighbors, "_PRUNE_N_PER_K", 1 << 30)
-    tiles = build_neighbor_graph(pts, 100)
-    assert pruned_pairs < counts.sum(dtype=np.int64)
-    assert pruned.indices.tobytes() == tiles.indices.tobytes()
-    assert pruned.distances.tobytes() == tiles.distances.tobytes()
+
+def test_pinned_pair_counts(monkeypatch):
+    # The desk shape: two clusters of 800 points in 32-d at kmax 780, where
+    # no row's neighbors cross clusters. The floor is each within-cluster
+    # pair once, 25% of n^2; the index-order tile store computed 1380352
+    # pairs (54%).
+    desk = generate(SynthSpec(dim_c2=16, seed=42))[0].points
+    total = _pair_total(monkeypatch)
+    build_neighbor_graph(desk, 780)
+    assert total[0] == DESK_PAIRS < 1380352
+
+    # A 2400x2 input at kmax 100, where the per-point pruned path that the
+    # one build replaced computed 413746 pairs (7.2%).
+    total[0] = 0
+    build_neighbor_graph(_index_coded_points(2400, 2, 2), 100)
+    assert total[0] == LOWDIM_PAIRS < 413746
 
 
 # Coordinates from subnormals to 1e300 in magnitude, with both zeros.
@@ -332,44 +329,45 @@ _SUBNORMAL_PAIR = np.array([-5.831153781648e-311, 1.42033098865543e-310])
 @example((_SUBNORMAL_PAIR, np.array([-1.5336246132874e-310, -2.96329338020006e-310]),
           _SUBNORMAL_PAIR))
 def test_euclidean_bounds_every_coordinate_gap(abc):
-    """The pruned build's bounds, in any order of summation: the distance is
-    at least each |fl(a_c - b_c)|, so at least b's gap to a box holding a,
-    and at most b's far bound to that box."""
+    """The build's bounds, in any order of summation: the distance is at
+    least each |fl(a_c - b_c)|, so at least the gap between a box holding a
+    and a box holding b, or the point b itself, and at most their far bound."""
     a, b, c = abc
     lo, hi = np.minimum(a, c), np.maximum(a, c)  # a box holding a (and c)
-    (gap,), (far,) = neighbors._box_bounds(lo, hi, b[:, None])
-    for perm in (np.arange(a.size), np.arange(a.size)[::-1], np.roll(np.arange(a.size), 1)):
-        dist = euclidean(a[perm], b[perm])
-        assert dist >= np.max(np.abs(a - b))
-        assert dist >= gap
-        assert dist <= far
+    for box_b in ((b, b), (np.minimum(b, c[::-1]), np.maximum(b, c[::-1]))):
+        gap, far = neighbors._box_bounds(lo, hi, *box_b)
+        for perm in (np.arange(a.size), np.arange(a.size)[::-1], np.roll(np.arange(a.size), 1)):
+            dist = euclidean(a[perm], b[perm])
+            assert dist >= np.max(np.abs(a - b))
+            assert dist >= gap
+            assert dist <= far
 
 
 @pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e300])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_pruned_graph_equals_oracle_at_extreme_scales(scale, dim, monkeypatch):
-    # Subnormal, underflowing-square and overflowing-square coordinates; d=3
-    # is let through the path rule, which otherwise holds at this n and kmax.
-    monkeypatch.setattr(neighbors, "_PRUNE_MAX_D", dim)
-    n, kmax = 2100, 100
-    assert neighbors._prunes(n, kmax, dim)
+    # Subnormal, underflowing-square and overflowing-square coordinates.
+    n, kmax = 700, 100
     pts = np.random.default_rng(dim).standard_normal((n, dim)) * scale
-    g = build_neighbor_graph(pts, kmax)
     oi, od = _row_oracle(pts, kmax)
-    assert g.indices.tobytes() == oi.tobytes()
-    assert g.distances.tobytes() == od.tobytes()
+    for _ in _builds(monkeypatch):
+        g = build_neighbor_graph(pts, kmax)
+        assert g.indices.tobytes() == oi.tobytes()
+        assert g.distances.tobytes() == od.tobytes()
 
 
-def _lexsort_select(dist_rows, self_idx, k):
+def _lexsort_select(dist_rows, self_idx, k, labels=None):
     """The (distance, index) order by one full two-key lexsort per row,
-    over every column but the query's own."""
+    over every column but the query's own; labels are the columns' indices
+    (default: their positions)."""
     m, n = dist_rows.shape
+    labels = np.arange(n) if labels is None else labels
     cols = np.broadcast_to(np.arange(n), (m, n))
     keep = cols != np.asarray(self_idx)[:, None]
     cols = cols[keep].reshape(m, n - 1)
     d = np.asarray(dist_rows)[keep].reshape(m, n - 1)
-    order = np.lexsort((cols, d), axis=1)[:, :k]
-    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(d, order, axis=1)
+    order = np.lexsort((labels[cols], d), axis=1)[:, :k]
+    return np.take_along_axis(labels[cols], order, axis=1), np.take_along_axis(d, order, axis=1)
 
 
 def _assert_selects_like_lexsort(dist, self_idx, ks):
@@ -468,15 +466,18 @@ def _near(value):
 def test_select_knn_rows_matches_lexsort_for_every_k(dist, data):
     m, n = dist.shape
     self_idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+    # Point indices out of column order, as a graph build passes them.
+    labels = np.array(data.draw(st.permutations(range(3 * n))))[:n]
     # Warnings are errors inside the body only: under the filterwarnings
     # mark, Hypothesis's own failure report would raise one and abort the run.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k in range(1, n):
-            got_i, got_d = select_knn_rows(dist, self_idx, k)
-            ref_i, ref_d = _lexsort_select(dist, self_idx, k)
-            np.testing.assert_array_equal(got_i, ref_i)
-            assert got_d.tobytes() == ref_d.tobytes()
+            for cols in (None, labels):
+                got_i, got_d = select_knn_rows(dist, self_idx, k, cols)
+                ref_i, ref_d = _lexsort_select(dist, self_idx, k, cols)
+                np.testing.assert_array_equal(got_i, ref_i)
+                assert got_d.tobytes() == ref_d.tobytes()
 
 
 def _colliding_rows(n, k):
@@ -584,11 +585,10 @@ def test_far_apart_distance_does_not_overflow():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_distance_beyond_float_range_rejected():
     assert euclidean(np.array([1.5e308, 1.5e308]), np.zeros(2)) == np.inf
-    for path in ("tiles", "pruned"):
+    for leaf_rows in (64, 1):
         with pytest.MonkeyPatch.context() as mp:
-            if path == "pruned":
-                # One-point leaves: a far bound, so R, and a gap are infinite.
-                _force_pruned(mp, 1)
+            # One-point leaves: a far bound, so R, and a gap are infinite.
+            mp.setattr(neighbors, "_LEAF_ROWS", leaf_rows)
             for pts in (
                 np.array([[0.0, 0.0], [1.5e308, 1.5e308], [1.0, 1.0]]),  # finite differences
                 np.array([[-1.5e308], [1.5e308], [0.0]]),  # the difference itself overflows
@@ -602,11 +602,13 @@ def test_distance_beyond_float_range_rejected():
 @pytest.mark.parametrize("path", ["tiles", "pruned"])
 def test_non_finite_input_rejected_on_both_paths(path, bad, monkeypatch):
     # The build checks only the last column: rows are non-decreasing and
-    # both paths sort NaN last.
+    # selection sorts NaN last. "tiles" is one leaf holding every point, so
+    # every pair in one block; "pruned" is leaves of 8 points and no store.
     pts = np.random.default_rng(5).standard_normal((40, 2))
     pts[7, 1] = bad
+    monkeypatch.setattr(neighbors, "_LEAF_ROWS", 64 if path == "tiles" else 8)
     if path == "pruned":
-        _force_pruned(monkeypatch, 8)
+        monkeypatch.setattr(neighbors, "_STORE_BYTES", 0)
     with pytest.raises(ValueError) as rejected:
         build_neighbor_graph(pts, kmax=5)
     assert str(rejected.value) == (
@@ -687,7 +689,7 @@ def test_every_graph_path_returns_int32_indices(tmp_path, monkeypatch):
     wide_path = tmp_path / "wide.knn"
     save_graph(wide, wide_path)
     assert wide_path.read_bytes() == path.read_bytes()
-    _force_pruned(monkeypatch, 8)
+    monkeypatch.setattr(neighbors, "_LEAF_ROWS", 8)
     pruned = build_neighbor_graph(pts, kmax=5)
     for indices in (tiles.indices, pruned.indices, selected, loaded.indices, wide.indices):
         assert indices.dtype == np.int32

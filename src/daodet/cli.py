@@ -4,9 +4,10 @@ Subcommands: ``gen`` (synthetic benchmark datasets), ``run`` (best-k
 evaluation records), ``report`` (figures, regression tables, ranks),
 ``lid`` (dump a LID profile), ``knn-cache`` (prebuild a neighbor graph).
 
-Exit codes: 0 ok, 1 usage, 2 data error, 3 incomplete analysis grid.
-A ``key = value`` config file can pre-set any ``run`` option; explicit
-flags win. Worker count comes from ``--threads`` or DAODET_THREADS.
+Exit codes: 0 ok, 1 usage, 2 data or I/O error, 3 incomplete analysis grid.
+A ``run`` setting comes from its flag, else the ``--config`` file's
+``key = value`` line, else its default: DAODET_THREADS (else 1) for
+``--threads``, and ``evaluation.SweepConfig``'s for the sweep settings.
 """
 
 from __future__ import annotations
@@ -73,11 +74,12 @@ def parse_int_list(spec: str) -> list[int]:
         raise UsageError(f"cannot parse integer range {spec!r}") from None
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
+def load_config_file(path: str | Path, keys: set[str]) -> dict:
+    """The file's settings, each key one of ``keys``, as ``run`` parser defaults."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"no such config file: {path}")
-    values: dict[str, str] = {}
+    values: dict = {}
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -86,6 +88,13 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
+    unknown = sorted(set(values) - keys)
+    if unknown:
+        raise UsageError(f"unknown config file key(s): {', '.join(unknown)}")
+    if "data" in values:
+        values["data"] = values["data"].split(",")
+    if "timing" in values:
+        values["timing"] = values["timing"].lower() in ("1", "true", "yes")
     return values
 
 
@@ -208,49 +217,29 @@ def _run_one(
         return None, lines + [f"error: {path_s}: {exc}"], True
 
 
-def cmd_run(args, config_file: dict[str, str]) -> int:
-    unknown = sorted(set(config_file) - (set(vars(args)) - {"command", "config"}))
-    if unknown:
-        raise UsageError(f"unknown config file key(s): {', '.join(unknown)}")
-
-    def setting(name: str, default: str | None) -> str | None:
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        return config_file.get(name, default)
-
-    data = args.data if args.data else (
-        config_file["data"].split(",") if "data" in config_file else None
-    )
-    if not data:
+def cmd_run(args) -> int:
+    if not args.data:
         raise UsageError("run needs --data (or 'data = ...' in the config file)")
-    detectors = setting("detectors", ",".join(DETECTORS))
-    lid_grid_s = setting("lid_grid", None)
+    sweep = {
+        "detectors": args.detectors, "k_range": args.k,
+        "lid_estimator": args.estimator, "lid_k_grid": args.lid_grid,
+    }
     try:
-        config = SweepConfig(
-            detectors=tuple(d.strip() for d in detectors.split(",")),
-            k_range=parse_int_list(setting("k", "5..100")),
-            lid_estimator=setting("estimator", "mle"),
-            lid_k_grid=parse_int_list(lid_grid_s) if lid_grid_s else None,
-        )
+        # Only the settings given: SweepConfig holds the defaults.
+        config = SweepConfig(**{name: v for name, v in sweep.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    out = setting("out", None)
-    if out is None:
+    if args.out is None:
         raise UsageError("run needs --out for the records CSV")
-    label_column = setting("label_column", "label")
-    cache = setting("cache", None)
-    threads_s = setting("threads", os.environ.get(THREADS_ENV, "1"))
     try:
-        threads = int(threads_s)
+        threads = int(args.threads)
     except ValueError:
         threads = 0
     if threads < 1:
-        raise UsageError(f"threads must be a positive integer, got {threads_s!r}")
-    timing = bool(args.timing or config_file.get("timing", "").lower() in ("1", "true", "yes"))
+        raise UsageError(f"threads must be a positive integer, got {args.threads!r}")
 
-    paths = _collect_data_paths(list(data))
-    tasks = [(str(p), label_column, config, cache, timing) for p in paths]
+    paths = _collect_data_paths(args.data)
+    tasks = [(str(p), args.label_column, config, args.cache, args.timing) for p in paths]
     workers = min(threads, len(tasks))  # a fork pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -273,8 +262,8 @@ def cmd_run(args, config_file: dict[str, str]) -> int:
         return 2
     order = {d: i for i, d in enumerate(config.detectors)}
     all_records.sort(key=lambda r: (r.dataset, order[r.detector]))
-    write_records_csv(all_records, out)
-    print(f"wrote {len(all_records)} records for {datasets} datasets to {out}")
+    write_records_csv(all_records, args.out)
+    print(f"wrote {len(all_records)} records for {datasets} datasets to {args.out}")
     return 2 if failed else 0
 
 
@@ -471,7 +460,8 @@ def cmd_knn_cache(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(run_defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``run_defaults`` replace the ``run`` options' defaults."""
     parser = argparse.ArgumentParser(prog="daodet")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -486,16 +476,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate detectors, write records CSV")
     p.add_argument("--data", nargs="*", help="dataset CSV files or directories")
-    p.add_argument("--detectors", help=f"comma list from {DETECTORS}")
-    p.add_argument("--k", help="detector k range, e.g. 5..100")
+    p.add_argument(
+        "--detectors", type=lambda s: tuple(d.strip() for d in s.split(",")),
+        help=f"comma list from {DETECTORS}",
+    )
+    p.add_argument("--k", type=parse_int_list, help="detector k range, e.g. 5..100")
     p.add_argument("--estimator", help="LID estimator: mle or twonn")
-    p.add_argument("--lid-grid", dest="lid_grid", help="LID k grid override")
-    p.add_argument("--label-column", dest="label_column")
+    p.add_argument(
+        "--lid-grid", dest="lid_grid", type=lambda s: parse_int_list(s) if s else None,
+        help="LID k grid override (empty: the default grid)",
+    )
+    p.add_argument("--label-column", dest="label_column", default="label")
     p.add_argument("--out", help="records CSV path")
-    p.add_argument("--threads", help=f"worker processes (or ${THREADS_ENV})")
+    p.add_argument(
+        "--threads", default=os.environ.get(THREADS_ENV, "1"),
+        help=f"worker processes (default ${THREADS_ENV}, else 1)",
+    )
     p.add_argument("--cache", help="neighbor graph cache directory")
     p.add_argument("--timing", action="store_true", help="measure per-run detector times")
     p.add_argument("--config", help="key = value config file; flags win")
+    p.set_defaults(**(run_defaults or {}))
 
     p = sub.add_parser("report", help="analyses over a records CSV")
     p.add_argument("--records", required=True)
@@ -520,29 +520,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits with 2 on usage problems
-        return 0 if exc.code == 0 else 1
-    try:
+        args = build_parser().parse_args(argv)
+        if args.command == "run" and args.config:
+            # The file's settings become the run parser's defaults, so flags win.
+            keys = set(vars(args)) - {"command", "config"}
+            args = build_parser(load_config_file(args.config, keys)).parse_args(argv)
         if args.command == "gen":
             return cmd_gen(args)
         if args.command == "run":
-            config_file = load_config_file(args.config) if args.config else {}
-            return cmd_run(args, config_file)
+            return cmd_run(args)
         if args.command == "report":
             return cmd_report(args)
         if args.command == "lid":
             return cmd_lid(args)
         return cmd_knn_cache(args)
+    except SystemExit as exc:  # argparse exits with 2 on usage problems
+        return 0 if exc.code == 0 else 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except IncompleteGridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DatasetError, FeatureUnavailableError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (DatasetError, FeatureUnavailableError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -326,37 +326,32 @@ def evaluate_dataset(
         by_k_used.setdefault(profile.k_used, (lk, profile))
     profiles = dict(by_k_used.values())
 
-    # DAO first: its best LID profile feeds the dispersion and Moran's I columns.
-    best = {}
-    if "dao" in config.detectors:
-        best["dao"] = _best_config(graph, dataset.labels, "dao", det_ks, profiles)
-
-    ref_profile = profiles[best["dao"][2]] if best else profiles[max(profiles)]
+    best = {
+        det: _best_config(graph, dataset.labels, det, det_ks, profiles)
+        for det in config.detectors
+    }
+    # DAO's best LID profile feeds the dispersion and Moran's I columns.
+    ref_profile = profiles[best["dao"][2]] if "dao" in best else profiles[max(profiles)]
     disp = dispersion_R(ref_profile)
     try:
         mi, mk = morans_I_maxmag(ref_profile.log_ids, graph, det_ks)
     except ValueError:  # constant profile: autocorrelation undefined
         mi, mk = float("nan"), det_ks[0]
 
-    records = []
-    for det in config.detectors:
-        if det not in best:
-            best[det] = _best_config(graph, dataset.labels, det, det_ks, profiles)
-        auc, best_k, best_lid_k = best[det]
-        records.append(
-            EvalRecord(
-                dataset=dataset.name,
-                detector=det,
-                lid_estimator=None if best_lid_k is None else config.lid_estimator,
-                best_k=best_k,
-                roc_auc=auc,
-                dispersion_R=disp,
-                morans_I=mi,
-                morans_k=mk,
-                best_lid_k=best_lid_k,
-            )
+    return [
+        EvalRecord(
+            dataset=dataset.name,
+            detector=det,
+            lid_estimator=None if best_lid_k is None else config.lid_estimator,
+            best_k=best_k,
+            roc_auc=auc,
+            dispersion_R=disp,
+            morans_I=mi,
+            morans_k=mk,
+            best_lid_k=best_lid_k,
         )
-    return records
+        for det, (auc, best_k, best_lid_k) in best.items()
+    ]
 
 
 # ---------------------------------------------------------------------------

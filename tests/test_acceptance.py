@@ -310,6 +310,8 @@ def test_criterion_10_report_pipeline(desk_records, desk_report):
 PINS = Path(__file__).with_name("desk_seed42.sha256")
 PINS_X86_V3 = Path(__file__).with_name("desk_seed42_x86v3.sha256")
 BELOW_X86_V4 = "AVX512_SPR AVX512_ICL X86_V4"  # NPY_DISABLE_CPU_FEATURES for X86_V3
+# Absent on non-x86 CPUs and on numpy builds older than the X86_V* groups.
+AT_X86_V4 = __cpu_features__.get("X86_V4", False)
 
 
 def output_hashes(root: Path) -> dict[str, str]:
@@ -341,11 +343,11 @@ def test_desk_outputs_match_seed42_pins(desk_records, desk_report):
     records_csv, _ = desk_records
     code, _ = desk_report
     assert code == 0
-    pins = PINS if __cpu_features__["X86_V4"] else PINS_X86_V3
+    pins = PINS if AT_X86_V4 else PINS_X86_V3
     assert not pin_mismatches(pins, output_hashes(records_csv.parent))
 
 
-@pytest.mark.skipif(not __cpu_features__["X86_V4"], reason="the desk chain runs at X86_V3 here")
+@pytest.mark.skipif(not AT_X86_V4, reason="the desk chain runs at X86_V3 here")
 def test_desk_outputs_below_x86_v4_match_their_pins(desk_records, desk_report, tmp_path):
     """The desk chain again, in a process that numpy dispatches below X86_V4:
     its outputs match their own pins, and the outputs the paper reports
@@ -367,3 +369,20 @@ def test_desk_outputs_below_x86_v4_match_their_pins(desk_records, desk_report, t
     v4_report = records_csv.parent / "report"
     for name in sorted(p.name for p in v4_report.iterdir() if p.name.startswith(("ranks", "fig1"))):
         assert (tmp_path / "report" / name).read_bytes() == (v4_report / name).read_bytes(), name
+
+
+def test_module_collects_without_an_x86_v4_feature_key():
+    """Where numpy reports no X86_V4 key at all, the module still collects."""
+    code = (
+        "import sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "__cpu_features__.pop('X86_V4', None)\n"
+        "import pytest\n"
+        "sys.exit(pytest.main(['--collect-only', '-q', '-p', 'no:cacheprovider', sys.argv[1]]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, __file__], env=env,
+                          capture_output=True, text=True, cwd=Path(__file__).parent)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "test_desk_outputs_match_seed42_pins" in proc.stdout

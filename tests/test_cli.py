@@ -554,6 +554,132 @@ def test_run_threads_must_be_an_integer(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_run_threads_precedence(tmp_path, monkeypatch, capsys):
+    # Each source holds a distinct bad value, so the message names the one read.
+    from daodet.cli import build_parser
+
+    out = str(tmp_path / "r.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("data = x.csv\nthreads = c0\n")
+    monkeypatch.setenv("DAODET_THREADS", "e0")
+    for argv, winner in (
+        (("--config", str(cfg), "--threads", "f0"), "f0"),
+        (("--config", str(cfg)), "c0"),
+        (("--data", "x.csv"), "e0"),
+    ):
+        assert run_cli("run", *argv, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: threads must be a positive integer, got '{winner}'\n"
+        )
+    monkeypatch.delenv("DAODET_THREADS")
+    assert build_parser().parse_args(["run"]).threads == "1"
+    assert run_cli("run", "--data", "x.csv", "--out", out) == 2  # past the threads check
+    assert capsys.readouterr().err == "error: no such dataset path: x.csv\n"
+
+
+def test_run_config_file_setting_every_key_equals_the_flags(synth_dir, tmp_path, monkeypatch):
+    from daodet import evaluation
+    from daodet.cli import build_parser
+
+    calls = []
+
+    def spy(dataset, config):  # deterministic times, so --timing output is comparable
+        calls.append(dataset.name)
+        return {det: (float(i + 1), 0.5) for i, det in enumerate(config.detectors)}
+
+    monkeypatch.setattr(evaluation, "time_detectors", spy)
+    csvs = sorted(synth_dir.glob("*.csv"))[:2]
+    settings = {
+        "data": ",".join(map(str, csvs)), "detectors": "dao,knn", "k": "5..15:5",
+        "estimator": "mle", "lid-grid": "5,10", "label-column": "label",
+        "out": str(tmp_path / "from_config.csv"), "threads": "1",
+        "cache": str(tmp_path / "cache_config"), "timing": "yes",
+    }
+    keys = set(vars(build_parser().parse_args(["run"]))) - {"command", "config"}
+    assert {key.replace("-", "_") for key in settings} == keys
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    assert run_cli("run", "--config", str(cfg)) == 0
+    flags = ["--data", *map(str, csvs), "--timing"]
+    for key, value in settings.items():
+        if key not in ("data", "timing"):
+            flags += [f"--{key}", value]
+    flags[flags.index(settings["out"])] = str(tmp_path / "from_flags.csv")
+    flags[flags.index(settings["cache"])] = str(tmp_path / "cache_flags")
+    assert run_cli("run", *flags) == 0
+    assert len(calls) == 4
+    from_config = (tmp_path / "from_config.csv").read_bytes()
+    assert from_config == (tmp_path / "from_flags.csv").read_bytes()
+    assert sorted(p.name for p in (tmp_path / "cache_config").iterdir()) == sorted(
+        p.name for p in (tmp_path / "cache_flags").iterdir()
+    )
+
+
+def test_run_empty_settings(synth_dir, tmp_path, capsys):
+    # Empty detectors or k are usage errors; an empty LID grid is the default one.
+    one = str(sorted(synth_dir.glob("*.csv"))[0])
+    out = tmp_path / "r.csv"
+    cfg = tmp_path / "run.cfg"
+    for key, message in (
+        ("detectors", "usage error: unknown detector ''"),
+        ("k", "usage error: k range must contain positive integers\n"),
+    ):
+        cfg.write_text(f"data = {one}\n{key} =\n")
+        for argv in (("--data", one, f"--{key}", ""), ("--config", str(cfg))):
+            assert run_cli("run", *argv, "--out", str(out)) == 1
+            assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+    assert run_cli("run", "--data", one, "--k", "5", "--out", str(out)) == 0
+    default_grid = out.read_bytes()
+    capsys.readouterr()
+    cfg.write_text(f"data = {one}\nlid-grid =\n")
+    for argv in (("--config", str(cfg)), ("--data", one, "--lid-grid", "")):
+        out.unlink()
+        assert run_cli("run", *argv, "--k", "5", "--out", str(out)) == 0
+        assert out.read_bytes() == default_grid
+        assert "LID grid truncated" not in capsys.readouterr().err
+
+
+def test_config_defaults_do_not_outlive_their_call(synth_dir, tmp_path, capsys):
+    one = str(sorted(synth_dir.glob("*.csv"))[0])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"detectors = knn\nk = 5\nlid-grid = 5\nout = {tmp_path / 'a.csv'}\n")
+    assert run_cli("run", "--config", str(cfg), "--data", one) == 0
+    assert run_cli("run", "--data", one) == 1  # the file's out is not kept
+    assert capsys.readouterr().err == "usage error: run needs --out for the records CSV\n"
+    out = tmp_path / "b.csv"
+    assert run_cli("run", "--data", one, "--k", "5", "--lid-grid", "5", "--out", str(out)) == 0
+    with open(out) as fh:
+        assert [row["detector"] for row in csv.DictReader(fh)] == ["knn", "lof", "slof", "dao"]
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "report", "lid", "knn-cache"])
+def test_unwritable_output_path_is_an_error_not_a_traceback(
+    command, synth_dir, records_csv, tmp_path, capsys
+):
+    taken_file = tmp_path / "file"
+    taken_file.write_text("keep\n")
+    taken_dir = tmp_path / "dir"
+    taken_dir.mkdir()
+    one = str(sorted(synth_dir.glob("*.csv"))[0])
+    argv, path = {
+        "gen": (["--dims", "2", "--cluster-size", "30", "--out", str(taken_file)], taken_file),
+        "run": (["--data", one, "--k", "5", "--lid-grid", "5", "--out", str(taken_dir)], taken_dir),
+        "report": (["--records", str(records_csv), "--analysis", "ranks",
+                    "--out", str(taken_file)], taken_file),
+        "lid": (["--data", one, "--k", "5", "--out", str(taken_dir)], taken_dir),
+        "knn-cache": (["--data", one, "--kmax", "5", "--cache", str(taken_file)], taken_file),
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert taken_file.read_text() == "keep\n"
+    assert list(taken_dir.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+
+
 def test_run_pool_has_no_more_workers_than_files(synth_dir, records_csv, tmp_path, monkeypatch):
     from daodet import cli
 

@@ -28,6 +28,7 @@ from .dataset import (
     Dataset,
     DatasetError,
     MissingLabelColumn,
+    check_replaceable,
     feature_distinctness,
     load_csv,
     read_sidecar,
@@ -150,6 +151,8 @@ def cmd_gen(args) -> int:
 def _collect_data_paths(specs: list[str]) -> list[Path]:
     paths: list[Path] = []
     for spec in specs:
+        if not spec:  # Path("") would be the working directory
+            raise UsageError("empty dataset path in --data or the config file's data list")
         p = Path(spec)
         if p.is_dir():
             paths.extend(sorted(p.glob("*.csv")))
@@ -239,6 +242,7 @@ def cmd_run(args) -> int:
         raise UsageError(f"threads must be a positive integer, got {args.threads!r}")
 
     paths = _collect_data_paths(args.data)
+    check_replaceable(args.out)  # before the sweep, not after it
     tasks = [(str(p), args.label_column, config, args.cache, args.timing) for p in paths]
     workers = min(threads, len(tasks))  # a fork pool starts all its workers at once
     if workers > 1:

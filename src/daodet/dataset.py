@@ -8,6 +8,7 @@ keeping the first occurrence.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
@@ -237,13 +238,31 @@ def _replacing(path: str | Path) -> Iterator[Path]:
     or the complete new one.
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp = _sibling(path)
     try:
         yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _sibling(path: Path) -> Path:
+    return path.with_name(f"{path.name}.{os.getpid()}.tmp")
+
+
+def check_replaceable(path: str | Path) -> None:
+    """Raise OSError unless ``_replacing(path)`` could write a file there:
+    ``path`` is not a directory, its parent is one, and its sibling temp
+    file can be created. The probe file is removed again."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not path.parent.is_dir():  # named here, not through the temp file
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path.parent))
+    tmp = _sibling(path)
+    open(tmp, "wb").close()
+    tmp.unlink()
 
 
 def _write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:

@@ -45,7 +45,7 @@ def score_knn(graph: NeighborGraph, k: int) -> ScoreVector:
 def score_slof(graph: NeighborGraph, k: int) -> ScoreVector:
     """Simplified LOF: mean over neighbors o of kdist(q) / kdist(o)."""
     kd = kdist_column(graph, k)
-    ratio = kd[graph.indices[:, :k]]
+    ratio = graph.gather(kd, k)
     np.divide(kd[:, None], ratio, out=ratio)
     return ScoreVector("slof", k, ratio.mean(axis=1))
 
@@ -58,12 +58,11 @@ def score_lof(graph: NeighborGraph, k: int) -> ScoreVector:
     neighbors to the query.
     """
     kd = kdist_column(graph, k)
-    nb, nd = graph.neighborhoods(k)
-    reach = kd[nb]
-    np.maximum(reach, nd, out=reach)
+    reach = graph.gather(kd, k)
+    np.maximum(reach, graph.distances[:, :k], out=reach)
     lrd = k / reach.sum(axis=1)
     del reach  # so the gather below is the only (n, k) block held
-    scores = lrd[nb].mean(axis=1) / lrd
+    scores = graph.gather(lrd, k).mean(axis=1) / lrd
     return ScoreVector("lof", k, scores)
 
 

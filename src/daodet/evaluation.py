@@ -122,8 +122,7 @@ def morans_I(values: np.ndarray, graph: NeighborGraph, k: int) -> float:
     denom = float((z**2).sum())
     if denom == 0.0:
         raise ValueError("Moran's I undefined: values have zero variance")
-    nb, _ = graph.neighborhoods(k)
-    return float((z * z[nb].mean(axis=1)).sum()) / denom
+    return float((z * graph.gather(z, k).mean(axis=1)).sum()) / denom
 
 
 def morans_I_maxmag(

@@ -28,6 +28,8 @@ _BLOCK_BYTES = 4 << 20
 _STORE_BYTES = 1 << 20
 # The build's spatial leaves hold at most _LEAF_ROWS points.
 _LEAF_ROWS = 64
+# Cap on the intp indices of one chunk of NeighborGraph.gather.
+_GATHER_BYTES = 1 << 18
 _TINY = np.finfo(np.float64).tiny
 # Selection keys: the +inf bit pattern, above which lie only the bits of
 # negatives, -0.0 and NaNs, and the query's own key, above every other.
@@ -54,10 +56,23 @@ class NeighborGraph:
     def n(self) -> int:
         return self.indices.shape[0]
 
-    def neighborhoods(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """First k neighbor indices and distances per point (views)."""
+    def gather(self, values: np.ndarray, k: int) -> np.ndarray:
+        """``values[indices[:, :k]]``: each point's first k neighbors' values,
+        as a new (n, k) float64 block.
+
+        ``take`` runs over contiguous intp rows, in chunks whose indices stay
+        under _GATHER_BYTES. Every index is below n, so ``mode="clip"``
+        changes no value; it lets ``take`` write ``out`` unbuffered.
+        """
         _check_k(self, k)
-        return self.indices[:, :k], self.distances[:, :k]
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        out = np.empty((self.n, k))
+        rows = max(1, _GATHER_BYTES // (8 * k))
+        for lo in range(0, self.n, rows):  # one chunk's indices held at a time
+            nb = self.indices[lo : lo + rows, :k].astype(np.intp)
+            np.take(values, nb, out=out[lo : lo + rows], mode="clip")
+            del nb
+        return out
 
 
 def _check_k(graph: NeighborGraph, k: int) -> None:
@@ -85,7 +100,15 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Only those entries change; identical points stay at 0, and a distance
     beyond the float range stays infinite.
     """
-    diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    if a.ndim == 3 and a.shape[1] == 1 and shape == (a.shape[0], shape[1], a.shape[2]):
+        # The (m, 1, d) rows against (1, c, d) columns: the same subtraction
+        # over one long loop, not c loops of d elements.
+        diff = np.repeat(a, shape[1], axis=1)
+        diff -= b
+    else:
+        diff = a - b
     sq = np.einsum("...i,...i->...", diff, diff)
     rescue = sq < _TINY
     if np.max(sq, initial=0.0) == np.inf:  # one reduction keeps the common case cheap
@@ -391,7 +414,7 @@ def save_graph(graph: NeighborGraph, path: str | Path) -> None:
     """
     with _replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(struct.pack("<II", graph.n, graph.kmax))
-        fh.write(np.ascontiguousarray(graph.indices, dtype="<u4"))
+        fh.write(np.ascontiguousarray(graph.indices, dtype="<i4"))  # as <u4: no index is negative
         fh.write(np.ascontiguousarray(graph.distances, dtype="<f8"))
 
 

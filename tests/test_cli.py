@@ -655,8 +655,13 @@ def test_config_defaults_do_not_outlive_their_call(synth_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["gen", "run", "report", "lid", "knn-cache"])
 def test_unwritable_output_path_is_an_error_not_a_traceback(
-    command, synth_dir, records_csv, tmp_path, capsys
+    command, synth_dir, records_csv, tmp_path, capsys, monkeypatch
 ):
+    from daodet import cli
+
+    evaluated = []  # run checks its output path before any dataset is evaluated
+    run_one = cli._run_one
+    monkeypatch.setattr(cli, "_run_one", lambda task: evaluated.append(task[0]) or run_one(task))
     taken_file = tmp_path / "file"
     taken_file.write_text("keep\n")
     taken_dir = tmp_path / "dir"
@@ -678,6 +683,42 @@ def test_unwritable_output_path_is_an_error_not_a_traceback(
     assert taken_file.read_text() == "keep\n"
     assert list(taken_dir.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert evaluated == []
+
+
+def test_run_output_in_a_missing_directory_fails_before_the_sweep(
+    synth_dir, tmp_path, capsys, monkeypatch
+):
+    from daodet import cli
+
+    monkeypatch.setattr(cli, "_run_one", None)  # no dataset may be evaluated
+    out = tmp_path / "missing" / "r.csv"
+    assert run_cli("run", "--data", str(synth_dir), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{out.parent}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_empty_dataset_path_is_an_error(synth_dir, tmp_path, capsys, monkeypatch):
+    # Path("") is the working directory, whose CSV files must not be read.
+    one = str(sorted(synth_dir.glob("*.csv"))[0])
+    monkeypatch.chdir(synth_dir)
+    monkeypatch.setattr("daodet.cli.load_csv", None)  # no dataset may be read
+    out = tmp_path / "r.csv"
+    cfg = tmp_path / "run.cfg"
+
+    def rejected(*argv):
+        assert run_cli("run", *argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "usage error: empty dataset path in --data or the config file's data list\n"
+        )
+
+    rejected("--data", "")
+    rejected("--data", one, "")
+    for data in ("", f"{one},", f"{one},,{one}"):
+        cfg.write_text(f"data = {data}\n")
+        rejected("--config", str(cfg))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_run_pool_has_no_more_workers_than_files(synth_dir, records_csv, tmp_path, monkeypatch):

@@ -111,6 +111,22 @@ def test_lof_peak_is_one_block():
     assert peak <= 1.5 * n * k * 8
 
 
+def test_slof_peak_is_one_block():
+    # The kdist ratios are the only (n, k) block; the gather's intp indices
+    # come in chunks.
+    n, k = 4000, 100
+    rng = np.random.default_rng(2)
+    indices = (np.arange(n)[:, None] + rng.integers(1, n, (n, k))) % n
+    g = fake_graph(indices, np.sort(rng.uniform(0.5, 2.0, (n, k)), axis=1))
+    tracemalloc.start()
+    try:
+        score_slof(g, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * k * 8
+
+
 def test_dao_hand_case():
     # neighbors (kdist 1, id 1) and (kdist 4, id 2): ((2/1)^1 + (2/4)^2)/2
     g = fake_graph([[1, 2], [0, 2], [0, 1]], [[1.0, 2.0], [0.5, 1.0], [3.0, 4.0]])

@@ -169,6 +169,21 @@ def test_morans_smooth_field_positive_and_matches_brute():
         assert morans_I(noisy, g, k) == pytest.approx(morans_brute(noisy, g, k), abs=1e-12)
 
 
+def test_morans_peak_is_one_block():
+    n, k = 4000, 100
+    rng = np.random.default_rng(3)
+    indices = (np.arange(n)[:, None] + rng.integers(1, n, (n, k))) % n
+    g = fake_graph(indices, np.sort(rng.uniform(0.5, 2.0, (n, k)), axis=1))
+    values = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        morans_I(values, g, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * k * 8
+
+
 def test_morans_permutation_null(rng):
     g = lattice_graph()
     values = np.linspace(0.0, 1.0, 60)

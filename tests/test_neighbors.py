@@ -185,6 +185,47 @@ def test_blocked_distance_rows_equal_single_call(monkeypatch):
     assert blocked[0, 1] == blocked[1, 0] == 2.49e-191 and np.isfinite(blocked[2]).all()
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 32])
+def test_repeated_differences_keep_every_distance_bit(dim, monkeypatch):
+    # euclidean repeats the (m, 1, d) rows along the columns and subtracts
+    # in place; other shapes subtract by broadcasting. Both are the same
+    # subtraction, so every distance keeps its bits, the rescued ones too.
+    rng = np.random.default_rng(dim)
+    pts = rng.standard_normal((40, dim))
+    pts[:6] *= 1e-200  # squared differences underflow
+    pts[6:12] *= 1e300  # squared differences overflow
+    n = pts.shape[0]
+    single = euclidean(pts[:, None], pts[None])
+    broadcast = euclidean(np.broadcast_to(pts[:, None], (n, n, dim)), pts[None])
+    assert single.tobytes() == broadcast.tobytes()
+    assert np.isfinite(single).all() and (single[:6, :6][~np.eye(6, dtype=bool)] > 0.0).all()
+    monkeypatch.setattr(neighbors, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 3 * 8 * n * (dim + 2))  # 3 rows a call
+    assert distance_matrix(pts).tobytes() == single.tobytes()
+    out = np.full((n + 3, 2 * n), np.nan)
+    neighbors._fill_distances(pts, pts, out[2 : n + 2, 1::2])
+    assert np.ascontiguousarray(out[2 : n + 2, 1::2]).tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_gather_equals_fancy_index_for_every_k(rows, monkeypatch):
+    rng = np.random.default_rng(rows)
+    n, kmax = 7, 6
+    indices = [rng.permutation(np.delete(np.arange(n), i))[:kmax] for i in range(n)]
+    g = fake_graph(indices, np.sort(rng.uniform(0.5, 2.0, (n, kmax)), axis=1))
+    values = rng.standard_normal(n)
+    for k in range(1, kmax + 1):
+        # Chunks of `rows` rows: the last chunk of 7 rows is a short one.
+        monkeypatch.setattr(neighbors, "_GATHER_BYTES", rows * 8 * k)
+        for vals in (values, kdist_column(g, k)):  # contiguous and strided
+            got = g.gather(vals, k)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == vals[g.indices[:, :k]].tobytes()
+    for k in (0, kmax + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            g.gather(values, k)
+
+
 def _strided(rng, shape):
     """Points at an odd stride and offset inside a larger array."""
     rows, dim = shape

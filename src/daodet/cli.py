@@ -399,6 +399,9 @@ def _report_ranks(datasets, detectors, cell, alpha: float) -> list:
 
 
 def cmd_report(args) -> int:
+    for i, analysis in enumerate(args.analysis):
+        if analysis in args.analysis[:i]:
+            raise UsageError(f"analysis {analysis!r} is named twice")
     records = read_records_csv(args.records)
     if not records:
         raise DatasetError(f"no records in {args.records}")
@@ -436,6 +439,8 @@ def cmd_report(args) -> int:
 
 def cmd_lid(args) -> int:
     check_estimator(args.estimator)
+    if args.estimator == "mle" and args.k < 2:
+        raise UsageError(f"mle needs --k >= 2, got {args.k}")
     ds = _load_for_run(Path(args.data), args.label_column)
     for line in _check_distinctness(ds):
         print(line, file=sys.stderr)

@@ -66,18 +66,21 @@ def score_lof(graph: NeighborGraph, k: int) -> ScoreVector:
     return ScoreVector("lof", k, scores)
 
 
-def dao_log_ratios(graph: NeighborGraph, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+def dao_log_ratios(
+    graph: NeighborGraph, k: int, rows: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray, float]:
     """The LID-independent part of DAO at neighborhood size k.
 
-    Returns the contiguous neighbor block nb (n, k), the matrix
-    ln kdist(q) - ln kdist(o) over those neighbors, and its largest
-    magnitude. A sweep builds these once per k and shares them across
-    every LID profile.
+    Returns the contiguous neighbor block nb of ``rows`` (all points by
+    default), the matrix ln kdist(q) - ln kdist(o) over those neighbors,
+    and its largest magnitude. A sweep builds these once per k and row
+    block and shares them across every LID profile; each element is the
+    same whatever the block.
     """
     lkd = np.log(kdist_column(graph, k))
-    nb = graph.indices[:, :k].astype(np.intp)  # take gathers faster by intp
+    nb = graph.indices[rows, :k].astype(np.intp)  # take gathers faster by intp
     log_ratio = np.take(lkd, nb)
-    np.subtract(lkd[:, None], log_ratio, out=log_ratio)
+    np.subtract(lkd[rows, None], log_ratio, out=log_ratio)
     return nb, log_ratio, float(max(log_ratio.max(), -log_ratio.min()))
 
 

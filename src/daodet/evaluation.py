@@ -20,7 +20,13 @@ import numpy as np
 from .dataset import Dataset, write_table
 from .detectors import DETECTORS, SCORERS, ScoreVector, dao_kernel, dao_log_ratios, score_dao
 from .lid import K_GRID, LidProfile, check_estimator, estimate_profile
-from .neighbors import NeighborGraph, build_neighbor_graph, distance_matrix, select_knn_all
+from .neighbors import (
+    _BLOCK_BYTES,
+    NeighborGraph,
+    build_neighbor_graph,
+    distance_matrix,
+    select_knn_all,
+)
 
 DEFAULT_K_RANGE = range(5, 101)
 
@@ -235,9 +241,11 @@ def _best_config(graph, labels, detector, det_ks, profiles):
 
     Candidates come in ascending detector k, then ascending LID k, and a
     strict comparison keeps the earlier one, so AUC ties and NaN keep the
-    smallest k. DAO builds its neighbor block and log-ratio matrix once per
-    detector k, shares them across every LID profile, and frees them before
-    the next k builds its own.
+    smallest k. DAO takes each detector k in row blocks: a block's
+    neighbors, log ratios and kernel temporary stay under _BLOCK_BYTES, are
+    shared across every LID profile, and are freed before the next block
+    builds its own. Each profile's scores fill one n-vector, and every score
+    is the mean of the same k contiguous terms as an unblocked kernel's.
     """
     best = None
 
@@ -248,11 +256,18 @@ def _best_config(graph, labels, detector, det_ks, profiles):
             best = (auc, k, lid_k)
 
     if detector == "dao":
+        lid_ks = sorted(profiles)
+        scores = np.empty((len(lid_ks), graph.n))
         for k in det_ks:
-            ratios = dao_log_ratios(graph, k)
-            for lid_k in sorted(profiles):
-                consider(dao_kernel(profiles[lid_k].ids, *ratios), k, lid_k)
-            del ratios
+            rows = max(1, _BLOCK_BYTES // (3 * 8 * k))
+            for start in range(0, graph.n, rows):
+                block = slice(start, start + rows)
+                ratios = dao_log_ratios(graph, k, block)
+                for out, lid_k in zip(scores, lid_ks):
+                    out[block] = dao_kernel(profiles[lid_k].ids, *ratios)
+                del ratios
+            for out, lid_k in zip(scores, lid_ks):
+                consider(out, k, lid_k)
     else:
         scorer = SCORERS[detector]  # looked up per call: tracers wrap the entries
         for k in det_ks:

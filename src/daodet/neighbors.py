@@ -21,7 +21,8 @@ import numpy as np
 from .dataset import Dataset, _replacing
 
 _CHUNK_ROWS = 128
-# Cap on the temporaries of one blocked euclidean call, and of lid's row blocks.
+# Cap on the temporaries of one blocked euclidean call, of lid's row blocks
+# and of the DAO sweep's row blocks.
 _BLOCK_BYTES = 4 << 20
 # Cap on the bytes of leaf blocks a graph build keeps for later leaves; the
 # blocks that do not fit are recomputed.

@@ -420,6 +420,22 @@ def test_report_rejects_untabulated_alpha_before_any_analysis(records_csv, tmp_p
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("analyses", [["ranks", "ranks"], ["fig2", "tables", "fig2"]])
+def test_report_rejects_a_repeated_analysis(analyses, records_csv, tmp_path, monkeypatch, capsys):
+    from daodet import cli
+
+    read = []
+    monkeypatch.setattr(cli, "read_records_csv", lambda path: read.append(path))
+    out = tmp_path / "rep"
+    assert run_cli(
+        "report", "--records", str(records_csv), "--analysis", *analyses, "--out", str(out)
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: analysis {analyses[-1]!r} is named twice\n"
+    assert captured.out == ""
+    assert read == [] and not out.exists()
+
+
 def test_report_fig1_shape(records_csv, tmp_path):
     out = tmp_path / "rep"
     assert run_cli(
@@ -788,6 +804,25 @@ def test_lid_rejects_oversized_k(synth_dir, tmp_path, capsys):
         "lid", "--data", str(data), "--k", "100000", "--out", str(tmp_path / "p.csv")
     ) == 1
     assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_lid_mle_rejects_k_below_two_before_reading_data(
+    k, synth_dir, tmp_path, monkeypatch, capsys
+):
+    from daodet import cli
+
+    data = sorted(synth_dir.glob("*.csv"))[0]
+    out = tmp_path / "p.csv"
+    # twonn ignores --k.
+    assert run_cli("lid", "--data", str(data), "--estimator", "twonn", "--k", k, "--out", str(out)) == 0
+    out.unlink()
+    capsys.readouterr()
+    loaded = []
+    monkeypatch.setattr(cli, "_load_for_run", lambda *args: loaded.append(args))
+    assert run_cli("lid", "--data", str(data), "--k", k, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"usage error: mle needs --k >= 2, got {k}\n"
+    assert loaded == [] and not out.exists()
 
 
 def test_knn_cache_command(synth_dir, tmp_path):

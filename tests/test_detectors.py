@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from daodet.detectors import score_dao, score_knn, score_lof, score_slof
 from daodet.neighbors import build_neighbor_graph, euclidean
 
-from conftest import fake_graph, fake_profile
+from conftest import dao_kernel_data, fake_graph, fake_profile
 
 
 def naive_lof(points, k):
@@ -162,18 +162,8 @@ def seed_dao_exponents(g, k, ids):
 
 @pytest.mark.parametrize("clip_bites", [False, True])
 def test_dao_kernel_bitwise_equals_seed_formula(rng, clip_bites):
-    n, kmax = 60, 12
-    indices = np.array([rng.choice(np.delete(np.arange(n), i), kmax, replace=False)
-                        for i in range(n)])
-    if clip_bites:  # kdists spread over 26 decades, ids at the 4*d cap
-        distances = np.sort(np.exp(rng.uniform(-30.0, 30.0, (n, kmax))), axis=1)
-        ids = rng.uniform(1.0, 128.0, n)
-        ids[:10] = 128.0
-    else:
-        distances = np.sort(rng.uniform(0.5, 2.0, (n, kmax)), axis=1)
-        ids = rng.uniform(0.5, 16.0, n)
-    g = fake_graph(indices, distances)
-    for k in (1, 5, kmax):
+    g, ids = dao_kernel_data(rng, clip_bites)
+    for k in (1, 5, g.kmax):
         exponents = seed_dao_exponents(g, k, ids)
         if k > 1:
             assert (np.abs(exponents).max() > 700) == clip_bites

@@ -29,7 +29,7 @@ from daodet.lid import FeatureUnavailableError
 from daodet.neighbors import build_neighbor_graph
 from daodet.synthgen import SynthSpec, generate
 
-from conftest import fake_graph, fake_profile
+from conftest import dao_kernel_data, fake_graph, fake_profile
 
 
 def pairwise_auc(scores, labels):
@@ -490,9 +490,9 @@ def test_evaluate_dataset_reuses_graph(small_ds):
 
 
 def test_sweep_peak_is_three_blocks_above_the_graph():
-    # n is large enough that the (n, k) blocks of the DAO sweep, not the
-    # 4 MiB MLE row block, set the peak. A sweep holding two k's working
-    # sets at once, or a temporary per block, exceeds the bound.
+    # The DAO sweep's row blocks and the MLE row block, each up to 4 MiB,
+    # about 1.1 (n, kmax) blocks here, set the peak. A sweep holding two
+    # k's working sets at once, or a temporary per block, exceeds the bound.
     n, kmax = 4000, 120
     rng = np.random.default_rng(23)
     ds = Dataset(
@@ -511,6 +511,81 @@ def test_sweep_peak_is_three_blocks_above_the_graph():
         tracemalloc.stop()
     profiles = len(config.lid_k_grid) * 2 * n * 8
     assert peak <= 3 * n * kmax * 8 + profiles
+
+
+def test_dao_sweep_peak_is_one_block():
+    # One detector k of n * k * 8 = 6.4 MB: a sweep holding the whole
+    # neighbor, log-ratio and kernel blocks of that k reads 3 blocks; with
+    # row blocks under _BLOCK_BYTES, Moran's I's one (n, k) gather sets the
+    # peak.
+    n, kmax, k = 8000, 120, 100
+    rng = np.random.default_rng(29)
+    ds = Dataset(
+        points=rng.standard_normal((n, 2)),
+        labels=(np.arange(n) % 10 == 0).astype(np.int64),
+        name="mem",
+    )
+    indices = (np.arange(n)[:, None] + rng.integers(1, n, (n, kmax))) % n
+    graph = fake_graph(indices, np.sort(rng.uniform(0.5, 2.0, (n, kmax)), axis=1))
+    config = SweepConfig(("dao",), k_range=[k], lid_k_grid=(10, 60, kmax))
+    tracemalloc.start()
+    try:
+        evaluate_dataset(ds, config, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    profiles = len(config.lid_k_grid) * 2 * n * 8
+    assert peak <= 1.5 * n * k * 8 + profiles
+
+
+def test_dao_row_blocks_keep_every_score_bit(rng, monkeypatch):
+    from daodet import evaluation as ev
+    from daodet.detectors import dao_kernel, dao_log_ratios
+
+    g, ids = dao_kernel_data(rng, clip_bites=True)
+    ds = Dataset(
+        points=rng.standard_normal((g.n, 2)),
+        labels=(np.arange(g.n) % 6 == 0).astype(np.int64),
+        name="clip",
+    )
+    # At these scales of the ids the clip bites in every block, is decided
+    # block by block, and is never needed.
+    profiles = {lk: fake_profile(ids / scale, k_used=lk) for lk, scale in ((2, 1), (3, 4), (4, 8))}
+    monkeypatch.setattr(ev, "estimate_profile", lambda estimator, graph, lk: profiles[lk])
+    config = SweepConfig(("dao",), k_range=range(1, g.kmax + 1), lid_k_grid=sorted(profiles))
+    whole = ev.evaluate_dataset(ds, config, graph=g)
+
+    blocks, scored = [], []
+
+    def kernel(ids, nb, log_ratio, ratio_max):
+        exponents = np.abs(np.take(ids, nb) * log_ratio)
+        skipped = float(ids.max()) * ratio_max <= 700
+        blocks.append((nb.shape, float(ids.max()), skipped, bool((exponents > 700).any())))
+        return dao_kernel(ids, nb, log_ratio, ratio_max)
+
+    auc = ev.roc_auc
+    monkeypatch.setattr(ev, "dao_kernel", kernel)
+    monkeypatch.setattr(ev, "roc_auc", lambda s, y: scored.append(s.copy()) or auc(s, y))
+    monkeypatch.setattr(ev, "_BLOCK_BYTES", 3 * 8 * g.kmax * 7)  # 7 rows at k = kmax
+    assert ev.evaluate_dataset(ds, config, graph=g) == whole
+
+    runs: dict[tuple[int, float], list] = {}  # (k, max id): (rows, skipped, bites) per block
+    for (rows, k), top, skipped, bites in blocks:
+        runs.setdefault((k, top), []).append((rows, skipped, bites))
+    assert [rows for rows, _, _ in runs[g.kmax, ids.max()]] == [7] * 8 + [4]
+    # Some (k, profile) skips the clip in one block and needs it in another.
+    assert any(
+        any(skipped for _, skipped, _ in run) and any(bites for _, _, bites in run)
+        for run in runs.values()
+    )
+    expected = [
+        dao_kernel(profiles[lk].ids, *dao_log_ratios(g, k))
+        for k in config.k_range
+        for lk in sorted(profiles)
+    ]
+    assert len(scored) == len(expected)
+    for got, want in zip(scored, expected):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_records_csv_roundtrip(tmp_path, small_ds):

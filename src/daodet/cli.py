@@ -48,7 +48,13 @@ from .evaluation import (
     time_detector,  # noqa: F401 (unused here; perfbench/spans.py traces this name)
     write_records_csv,
 )
-from .lid import FeatureUnavailableError, check_estimator, estimate_profile, write_profile_csv
+from .lid import (
+    FeatureUnavailableError,
+    check_estimator,
+    check_lid_k,
+    estimate_profile,
+    write_profile_csv,
+)
 from .neighbors import build_neighbor_graph, cached_neighbor_graph
 
 THREADS_ENV = "DAODET_THREADS"
@@ -439,8 +445,10 @@ def cmd_report(args) -> int:
 
 def cmd_lid(args) -> int:
     check_estimator(args.estimator)
-    if args.estimator == "mle" and args.k < 2:
-        raise UsageError(f"mle needs --k >= 2, got {args.k}")
+    try:
+        check_lid_k(args.estimator, args.k, "--k")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     ds = _load_for_run(Path(args.data), args.label_column)
     for line in _check_distinctness(ds):
         print(line, file=sys.stderr)

@@ -19,12 +19,22 @@ import numpy as np
 
 from .dataset import Dataset, write_table
 from .detectors import DETECTORS, SCORERS, ScoreVector, dao_kernel, dao_log_ratios, score_dao
-from .lid import K_GRID, LidProfile, check_estimator, estimate_profile
+from .lid import (
+    ESTIMATORS,
+    K_GRID,
+    LidProfile,
+    _finish,
+    check_estimator,
+    check_lid_k,
+    estimate_profile,
+    profile_k,
+)
 from .neighbors import (
     _BLOCK_BYTES,
     NeighborGraph,
-    build_neighbor_graph,
+    build_neighbor_graph,  # noqa: F401 (unused here; perfbench/spans.py traces this name)
     distance_matrix,
+    leaf_selections,
     select_knn_all,
 )
 
@@ -299,6 +309,8 @@ class SweepConfig:
         for name, ks in (("k range", self.k_range), ("LID k grid", self.lid_k_grid)):
             if ks is not None and (not ks or min(ks) < 1):
                 raise ValueError(f"{name} must contain positive integers")
+        if self.lid_k_grid is not None:
+            check_lid_k(self.lid_estimator, min(self.lid_k_grid), "every LID grid size")
 
     def grids(self, n: int) -> tuple[list[int], list[int], int]:
         """(detector ks, LID grid ks, graph kmax) for a dataset of n points.
@@ -311,6 +323,45 @@ class SweepConfig:
         return det_ks, lid_ks, max(det_ks[-1], lid_ks[-1])
 
 
+def _distinct_profiles(estimator: str, lid_ks: list[int], kmax: int) -> dict[int, int]:
+    """{k_used: the first grid k that gives it}: twonn ignores k, and a
+    repeated profile could only tie the first one."""
+    firsts: dict[int, int] = {}
+    for lk in lid_ks:
+        firsts.setdefault(profile_k(estimator, lk, kmax), lk)
+    return firsts
+
+
+def _streamed_inputs(
+    dataset: Dataset, kmax: int, keep: int, estimator: str, lid_ks: list[int]
+) -> tuple[NeighborGraph, dict[int, LidProfile]]:
+    """(graph, profiles) from one graph build at kmax, consumed leaf by leaf.
+
+    The graph holds each row's first ``keep`` neighbors. Each distinct
+    profile's raw rows are estimated from the leaf's full rows before the
+    build reuses its buffer, by the same formula as ``estimate_profile``,
+    so the profiles are those of the full graph bit for bit.
+    """
+    firsts = _distinct_profiles(estimator, lid_ks, kmax)
+    formula = ESTIMATORS[estimator]
+    n = dataset.n
+    indices = np.empty((n, keep), dtype=np.int32)
+    distances = np.empty((n, keep))
+    raws = {k_used: np.empty(n) for k_used in firsts}
+    buf = np.empty(0)  # the formula's scratch, grown to the largest leaf
+    for ids, idx, dist in leaf_selections(dataset, kmax):
+        indices[ids], distances[ids] = idx[:, :keep], dist[:, :keep]
+        if buf.size < dist.shape[0] * max(raws):
+            buf = np.empty(dist.shape[0] * max(raws))
+        for k_used, raw in raws.items():
+            raw[ids] = formula(dist, k_used, buf)
+    graph = NeighborGraph(indices=indices, distances=distances, kmax=keep, n_features=dataset.dim)
+    profiles = {
+        lk: _finish(estimator, k_used, raws[k_used], dataset.dim) for k_used, lk in firsts.items()
+    }
+    return graph, profiles
+
+
 def evaluate_dataset(
     dataset: Dataset,
     config: SweepConfig = SweepConfig(),
@@ -318,27 +369,29 @@ def evaluate_dataset(
 ) -> list[EvalRecord]:
     """Best-k evaluation of each configured detector on one labeled dataset.
 
-    One shared graph at the largest needed k serves every sweep. The
-    dispersion and Moran's I columns describe the dataset's LID profile as
-    consumed by the best dimensionality-aware configuration (falling back
-    to the largest grid size swept when that detector is not requested), so
-    they are identical across the dataset's records.
+    Every sweep reads at most max(k range) neighbors of a point, and the
+    LID profiles up to the grid's largest k. Without ``graph``, one build
+    at the largest needed k is consumed one leaf at a time: the sweeps get
+    a graph of each row's first max(k range) neighbors, and every distinct
+    LID profile is estimated from each leaf's full rows, so the (n, kmax)
+    graph is never held. A given ``graph`` serves both, and gives the same
+    records. The dispersion and Moran's I columns describe the dataset's
+    LID profile as consumed by the best dimensionality-aware configuration
+    (falling back to the largest grid size swept when that detector is not
+    requested), so they are identical across the dataset's records.
     """
     if dataset.labels is None:
         raise ValueError(f"dataset {dataset.name!r} has no labels")
     det_ks, lid_ks, kmax = config.grids(dataset.n)
     if graph is None:
-        graph = build_neighbor_graph(dataset, kmax)
+        graph, profiles = _streamed_inputs(
+            dataset, kmax, det_ks[-1], config.lid_estimator, lid_ks
+        )
     elif graph.kmax < kmax:
         raise ValueError(f"provided graph kmax={graph.kmax} < needed {kmax}")
-
-    # One profile per distinct k_used, under the first grid k that gives it:
-    # twonn ignores k, and a repeated profile could only tie the first one.
-    by_k_used: dict[int, tuple[int, LidProfile]] = {}
-    for lk in lid_ks:
-        profile = estimate_profile(config.lid_estimator, graph, lk)
-        by_k_used.setdefault(profile.k_used, (lk, profile))
-    profiles = dict(by_k_used.values())
+    else:
+        firsts = _distinct_profiles(config.lid_estimator, lid_ks, graph.kmax)
+        profiles = {lk: estimate_profile(config.lid_estimator, graph, lk) for lk in firsts.values()}
 
     best = {
         det: _best_config(graph, dataset.labels, det, det_ks, profiles)

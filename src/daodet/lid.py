@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import _write_rows
-from .neighbors import _BLOCK_BYTES, NeighborGraph, _check_k
+from .neighbors import _BLOCK_BYTES, NeighborGraph
 
 ID_FLOOR = 0.05
 
@@ -51,54 +51,52 @@ def _finish(estimator: str, k_used: int, raw: np.ndarray, n_features: int) -> Li
     return LidProfile(estimator=estimator, k_used=k_used, ids=ids, log_ids=np.log(ids))
 
 
-def estimate_mle(graph: NeighborGraph, k: int) -> LidProfile:
-    """Hill-type MLE: id(i) = -1 / mean_{j<=k} ln(d_ij / d_ik).
+def check_lid_k(estimator: str, k: int, name: str = "k") -> None:
+    """Raise ValueError where ``estimator`` cannot estimate at size k: mle
+    needs k >= 2; twonn takes any k. ``name`` names k in the message."""
+    if estimator == "mle" and k < 2:
+        raise ValueError(f"mle needs {name} >= 2, got {k}")
 
-    The mean runs over all k log-ratios including the zero j=k term. A
-    fully tied neighborhood (all d_ij = d_ik) diverges and clamps to the cap.
 
-    It recovers the dimension m where the data are locally uniform out to
-    d_ik, i.e. the neighbor count grows as r^m within that radius. On a
-    bounded support this needs the ball B(x_i, d_ik) inside the support
-    (for the unit ball, |x_i| + d_ik <= 1); where the boundary cuts into
-    it, the estimate falls below m.
-    """
-    if k < 2:
-        raise ValueError(f"mle needs k >= 2, got {k}")
-    _check_k(graph, k)
-    d = graph.distances[:, :k]
-    mean_log = np.empty(graph.n)
-    # Row blocks keep the (rows, k) temporary under _BLOCK_BYTES, in one
-    # buffer that every block reuses; each row's mean still reduces the same
-    # k contiguous values.
-    rows = max(1, _BLOCK_BYTES // (8 * k))
-    buf = np.empty((min(rows, graph.n), k))
+def profile_k(estimator: str, k: int, kmax: int) -> int:
+    """The k_used of ``estimator``'s profile at size k, from rows of kmax
+    sorted neighbor distances: k for mle, 2 for twonn, which ignores k.
+    Raises ValueError where that profile cannot be estimated."""
+    check_estimator(estimator)
+    check_lid_k(estimator, k)
+    if estimator == "twonn":
+        if kmax < 2:
+            raise ValueError("twonn needs kmax >= 2")
+        return 2
+    if k > kmax:
+        raise ValueError(f"k={k} out of range [1, kmax={kmax}]")
+    return k
+
+
+def _mle_rows(dist: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
+    """Raw Hill MLE of each row of sorted distances: -1 / mean_{j<=k}
+    ln(d_j / d_k), inf where that mean is not negative. The (rows, k)
+    ratios go into the flat buffer ``buf``, so each row's mean reduces k
+    contiguous values however many rows a call takes."""
+    d = dist[:, :k]
+    ratio = buf[: d.size].reshape(d.shape)
     with np.errstate(divide="ignore"):
-        for start in range(0, graph.n, rows):
-            block = d[start : start + rows]
-            ratio = np.divide(block, block[:, k - 1 : k], out=buf[: block.shape[0]])
-            mean_log[start : start + rows] = np.log(ratio, out=ratio).mean(axis=1)
-        raw = np.where(mean_log < 0.0, -1.0 / mean_log, np.inf)
-    return _finish("mle", k, raw, graph.n_features)
+        np.divide(d, d[:, k - 1 : k], out=ratio)
+        mean_log = np.log(ratio, out=ratio).mean(axis=1)
+        return np.where(mean_log < 0.0, -1.0 / mean_log, np.inf)
 
 
-def estimate_twonn(graph: NeighborGraph) -> LidProfile:
-    """Two-NN point estimate: id(i) = ln 2 / ln(d_i2 / d_i1).
-
-    Under local uniformity ln(d_i2 / d_i1) ~ Exp(m), so the estimate is
-    median-unbiased (P(id <= m) = 1/2, which is what the ln 2 is for) and
-    has no finite mean: only the cap keeps the mean of a profile finite.
-    Summarize a profile by its median, not its mean.
-    """
-    if graph.kmax < 2:
-        raise ValueError("twonn needs kmax >= 2")
-    ratio = graph.distances[:, 1] / graph.distances[:, 0]
+def _twonn_rows(dist: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
+    """Raw two-NN estimate of each row of sorted distances: ln 2 / ln(d_2 /
+    d_1), inf where the ratio is not above 1."""
+    ratio = dist[:, 1] / dist[:, 0]
     with np.errstate(divide="ignore"):
-        raw = np.where(ratio > 1.0, np.log(2.0) / np.log(ratio), np.inf)
-    return _finish("twonn", 2, raw, graph.n_features)
+        return np.where(ratio > 1.0, np.log(2.0) / np.log(ratio), np.inf)
 
 
-ESTIMATORS = {"mle": estimate_mle, "twonn": lambda graph, k: estimate_twonn(graph)}
+# Each estimator's one formula: (rows of sorted distances, k_used, a flat
+# scratch buffer of at least rows * k_used floats) -> raw estimates.
+ESTIMATORS = {"mle": _mle_rows, "twonn": _twonn_rows}
 
 
 def check_estimator(estimator: str) -> None:
@@ -114,8 +112,43 @@ def check_estimator(estimator: str) -> None:
 
 
 def estimate_profile(estimator: str, graph: NeighborGraph, k: int) -> LidProfile:
-    check_estimator(estimator)
-    return ESTIMATORS[estimator](graph, k)
+    """``estimator``'s profile at size k (see ``profile_k``), its formula
+    applied to the graph's rows in blocks whose (rows, k_used) temporary
+    stays under _BLOCK_BYTES, in one buffer that every block reuses."""
+    k_used = profile_k(estimator, k, graph.kmax)
+    rows = max(1, _BLOCK_BYTES // (8 * k_used))
+    buf = np.empty(min(rows, graph.n) * k_used)
+    raw = np.empty(graph.n)
+    for start in range(0, graph.n, rows):
+        block = graph.distances[start : start + rows]
+        raw[start : start + rows] = ESTIMATORS[estimator](block, k_used, buf)
+    return _finish(estimator, k_used, raw, graph.n_features)
+
+
+def estimate_mle(graph: NeighborGraph, k: int) -> LidProfile:
+    """Hill-type MLE: id(i) = -1 / mean_{j<=k} ln(d_ij / d_ik).
+
+    The mean runs over all k log-ratios including the zero j=k term. A
+    fully tied neighborhood (all d_ij = d_ik) diverges and clamps to the cap.
+
+    It recovers the dimension m where the data are locally uniform out to
+    d_ik, i.e. the neighbor count grows as r^m within that radius. On a
+    bounded support this needs the ball B(x_i, d_ik) inside the support
+    (for the unit ball, |x_i| + d_ik <= 1); where the boundary cuts into
+    it, the estimate falls below m.
+    """
+    return estimate_profile("mle", graph, k)
+
+
+def estimate_twonn(graph: NeighborGraph) -> LidProfile:
+    """Two-NN point estimate: id(i) = ln 2 / ln(d_i2 / d_i1).
+
+    Under local uniformity ln(d_i2 / d_i1) ~ Exp(m), so the estimate is
+    median-unbiased (P(id <= m) = 1/2, which is what the ln 2 is for) and
+    has no finite mean: only the cap keeps the mean of a profile finite.
+    Summarize a profile by its median, not its mean.
+    """
+    return estimate_profile("twonn", graph, 2)
 
 
 def write_profile_csv(profile: LidProfile, path: str | Path) -> None:

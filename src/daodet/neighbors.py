@@ -6,6 +6,13 @@ point is never its own neighbor. Every stored distance is the canonical
 ``euclidean`` value, so graphs are bitwise reproducible. A build computes
 the pairs of spatial leaves that an exact box bound cannot rule out, each
 pair once while its store has room.
+
+``leaf_selections`` is the build: it yields one leaf's rows of the graph
+at a time, in one buffer that the next leaf overwrites, so a caller that
+keeps only part of each row never holds the (n, kmax) graph. ``run``
+without ``--cache`` consumes it that way. ``build_neighbor_graph``
+assembles the rows into a full graph, which the cache, ``knn-cache`` and
+``lid`` use.
 """
 
 from __future__ import annotations
@@ -157,7 +164,7 @@ def distance_matrix(data: Dataset | np.ndarray) -> np.ndarray:
     return out
 
 
-def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int, cols=None):
+def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int, cols=None, out=None):
     """Exact k smallest entries per row under the (distance, index) order.
 
     dist_rows: (m, n) distances from m queries to n points; self_idx gives
@@ -165,7 +172,8 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int, cols=No
     point index, distinct and non-negative (default: the column's
     position); ties break by it, and the indices returned are these.
     Returns (indices, distances) of shape (m, k), int32 and float64, rows
-    sorted ascending, ties by index.
+    sorted ascending, ties by index: new arrays, or ``out``'s pair of
+    C-contiguous arrays written in place.
     dist_rows itself is left unmodified.
     """
     src = np.asarray(dist_rows, dtype=np.float64)
@@ -189,14 +197,21 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int, cols=No
         keys.partition(k, axis=1)
     sel = keys[:, : k + 1]
     sel.sort(axis=1)
-    idx = (sel[:, :k] & mask).astype(np.int32)
-    pos = idx
-    if cols is not None:  # each selected index's column
+    wide = np.flatnonzero(sel[:, k] <= (sel[:, k - 1] | mask))
+    idx, dist = (np.empty((m, k), dtype=np.int32), np.empty((m, k))) if out is None else out
+    low = sel[:, :k]
+    low &= mask  # the keys are done with: each selected column's index, in place
+    idx[...] = low
+    if cols is None:
+        pos = idx.astype(np.intp)
+    else:  # each selected index's column
         pos = np.empty(top + 1, dtype=np.intp)
         pos[labels] = np.arange(n)
         pos = pos[idx]
-    flat = src.reshape(-1)  # a view unless src is not C-contiguous
-    dist = np.take(flat, pos + (rows * n)[:, None])
+    pos += (rows * n)[:, None]
+    # Every position is in range, so "clip" changes none; it lets take write
+    # dist unbuffered. The flat src is a view unless src is not C-contiguous.
+    np.take(src.reshape(-1), pos, out=dist, mode="clip")
 
     # Distinct distances that agree above the low b bits share a truncated
     # key and so fall back to index order. A row is wrong only where its
@@ -209,7 +224,6 @@ def select_knn_rows(dist_rows: np.ndarray, self_idx: np.ndarray, k: int, cols=No
     bad = (bits[:, 1:] < bits[:, :-1]).any(axis=1)
     if signed:
         bad |= (raw > _INF_BITS).any(axis=1)
-    wide = np.flatnonzero(sel[:, k] <= (sel[:, k - 1] | mask))
     if wide.size:
         kth = bits[wide, k - 1, None]
         below = np.count_nonzero(raw[wide] < kth, axis=1)
@@ -236,7 +250,7 @@ def select_knn_all(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     distances = np.empty((n, k), dtype=np.float64)
     for lo in range(0, n, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n)
-        indices[lo:hi], distances[lo:hi] = select_knn_rows(dists[lo:hi], np.arange(lo, hi), k)
+        select_knn_rows(dists[lo:hi], np.arange(lo, hi), k, out=(indices[lo:hi], distances[lo:hi]))
     return indices, distances
 
 
@@ -307,29 +321,38 @@ def _points(data: Dataset | np.ndarray) -> np.ndarray:
     return data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
 
 
-def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph:
-    """Exact kNN graph for all points, one spatial leaf of queries at a time,
-    over the leaves that an exact box bound cannot rule out.
+def _check_kmax(n: int, kmax: int) -> None:
+    if not 1 <= kmax <= n - 1:
+        raise ValueError(f"kmax={kmax} out of range [1, {n - 1}]")
+
+
+def leaf_selections(data: Dataset | np.ndarray, kmax: int):
+    """Yield (ids, indices, distances) for each spatial leaf of queries in
+    turn: the leaf's point ids and their rows of the exact kNN graph at
+    kmax, over the leaves that an exact box bound cannot rule out. The two
+    (len(ids), kmax) arrays are views of one buffer that the next leaf
+    overwrites.
 
     The points are taken in leaf order. Every point of leaf b is within
     far(a, b) of every row of leaf a, so those rows have at least kmax other
     points within R_a, the smallest far(a, b) whose leaves hold kmax + 1
     points. A leaf whose gap to leaf a is strictly greater than R_a is
     therefore farther than every row's kmax-th neighbor and ties none, so
-    leaf a skips it. A block that two leaves both need is computed once, by
-    the first of them, and its transpose serves the other from a store
-    capped at _STORE_BYTES (``euclidean`` is symmetric bit for bit); a
-    block that did not fit is recomputed. Any other leaf whose far bound
-    exceeds R_a gives only its points whose own gap is within r_a <= R_a:
-    the (kmax + 1)-th smallest far bound over the points taken whole, by
-    their leaf's bound, and those points, by their own.
-    ``select_knn_rows`` breaks ties by point index, whatever the order of
-    the columns.
+    leaf a skips it, and takes every other leaf whole. A block that two
+    leaves both need is computed once, by the first of them, and its
+    transpose serves the other from a store capped at _STORE_BYTES
+    (``euclidean`` is symmetric bit for bit); a block that did not fit is
+    recomputed. ``select_knn_rows`` breaks ties by point index, whatever
+    the order of the columns.
+
+    A leaf with a non-finite distance raises at once. A leaf with a zero
+    distance raises only after the last leaf has been checked for
+    non-finite ones, and no later leaf is yielded, so a full graph and the
+    stream fail with the same message.
     """
     points = _points(data)
     n = points.shape[0]
-    if not 1 <= kmax <= n - 1:
-        raise ValueError(f"kmax={kmax} out of range [1, {n - 1}]")
+    _check_kmax(n, kmax)
     leaves = _leaves(points)
     order = np.concatenate(leaves)  # the point at each position of the leaf order
     pts = points[order]
@@ -344,30 +367,23 @@ def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph
     shared = need & need.T
     leaf_of = np.repeat(np.arange(sizes.size), sizes)
 
-    indices = np.empty((n, kmax), dtype=np.int32)
-    distances = np.empty((n, kmax), dtype=np.float64)
-    buf = np.empty(0)  # one buffer for the whole build, grown to the widest leaf block
+    # One buffer each for the distances and the selections of the whole
+    # build, the first grown to the widest leaf block.
+    buf = np.empty(0)
+    top = int(sizes.max())
+    selected = np.empty((top, kmax), dtype=np.int32), np.empty((top, kmax))
     store: dict[tuple[int, int], np.ndarray] = {}  # (for leaf, from leaf) -> block
+    zero = False
     for a, rows in enumerate(np.split(pts, starts[1:-1])):
         m = rows.shape[0]
         kept = [b for b in np.flatnonzero(shared[a, :a]).tolist() if (a, b) in store]
-        # Room for the blocks of the nearest later partners, computed whole.
+        # Room for the blocks of the nearest later partners.
         later = np.flatnonzero(shared[a, a + 1 :]) + a + 1
         held = sum(block.nbytes for block in store.values())
         later = later[held + np.cumsum(m * sizes[later] * 8) <= _STORE_BYTES]
         mine = need[a].copy()
         mine[kept] = False
-        # The other leaves that straddle R_a give only their points within r.
-        split = mine & (far[a] > R[a])
-        split[later] = False
-        whole = need[a] & ~split
-        cross = np.flatnonzero(split[leaf_of])
-        p = pts[cross].T
-        gap_p, far_p = _box_bounds(lo[:, a, None], hi[:, a, None], p, p)
-        r = np.partition(np.concatenate([np.repeat(far[a, whole], sizes[whole]), far_p]), kmax)[kmax]
-        reach = mine[leaf_of]
-        reach[cross] = ~(gap_p > r)
-        fresh = np.flatnonzero(reach)
+        fresh = np.flatnonzero(mine[leaf_of])
         cols = np.concatenate([fresh, *(np.arange(starts[b], starts[b + 1]) for b in kept)])
         if buf.size < m * cols.size:
             buf = np.empty(m * cols.size)
@@ -376,18 +392,32 @@ def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph
         if kept:  # their points as columns
             np.concatenate([store.pop((a, b)) for b in kept], out=out[:, fresh.size :].T)
         own = np.searchsorted(fresh, starts[a]) + np.arange(m)
-        indices[leaves[a]], distances[leaves[a]] = select_knn_rows(out, own, kmax, order[cols])
+        idx, dist = (part[:m] for part in selected)
+        select_knn_rows(out, own, kmax, order[cols], out=(idx, dist))
         for b, at in zip(later.tolist(), np.searchsorted(fresh, starts[later]).tolist()):
             store[b, a] = out[:, at : at + sizes[b]].copy()
-    # Rows are non-decreasing with NaN last, so the last column is finite
-    # only when every column is.
-    if not np.isfinite(distances[:, -1]).all():
-        raise ValueError(
-            "non-finite distances in graph: a pairwise distance exceeds the float range"
-            " or the input is not finite"
-        )
-    if distances[:, 0].min() <= 0.0:
+        # Rows are non-decreasing with NaN last, so the last column is
+        # finite only when every column is.
+        if not np.isfinite(dist[:, -1]).all():
+            raise ValueError(
+                "non-finite distances in graph: a pairwise distance exceeds the float range"
+                " or the input is not finite"
+            )
+        zero = zero or dist[:, 0].min() <= 0.0
+        if not zero:
+            yield leaves[a], idx, dist
+    if zero:
         raise ValueError("zero distance in graph: input contains duplicate points")
+
+
+def build_neighbor_graph(data: Dataset | np.ndarray, kmax: int) -> NeighborGraph:
+    """Exact kNN graph for all points: the rows of ``leaf_selections``."""
+    points = _points(data)
+    _check_kmax(points.shape[0], kmax)
+    indices = np.empty((points.shape[0], kmax), dtype=np.int32)
+    distances = np.empty((points.shape[0], kmax), dtype=np.float64)
+    for ids, idx, dist in leaf_selections(points, kmax):
+        indices[ids], distances[ids] = idx, dist
     return NeighborGraph(
         indices=indices, distances=distances, kmax=kmax, n_features=points.shape[1]
     )

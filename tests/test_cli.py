@@ -825,6 +825,24 @@ def test_lid_mle_rejects_k_below_two_before_reading_data(
     assert loaded == [] and not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["1", "1,5"])
+def test_run_mle_grid_below_two_is_a_usage_error(grid, synth_dir, tmp_path, monkeypatch, capsys):
+    from daodet import cli
+
+    out = tmp_path / "r.csv"
+    loaded = []
+    monkeypatch.setattr(cli, "_load_for_run", lambda *args: loaded.append(args))
+    assert run_cli("run", "--data", str(synth_dir), "--lid-grid", grid, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "usage error: mle needs every LID grid size >= 2, got 1\n"
+    assert loaded == [] and not out.exists()
+    # twonn ignores the grid's sizes.
+    monkeypatch.undo()
+    assert run_cli(
+        "run", "--data", str(synth_dir), "--estimator", "twonn", "--k", "5",
+        "--lid-grid", grid, "--out", str(out),
+    ) == 0
+
+
 def test_knn_cache_command(synth_dir, tmp_path):
     cache = tmp_path / "cache"
     data = sorted(synth_dir.glob("*.csv"))[0]

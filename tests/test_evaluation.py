@@ -448,6 +448,9 @@ def test_sweep_config_checks_names():
         SweepConfig(lid_estimator="bogus")
     with pytest.raises(FeatureUnavailableError, match="tle"):
         SweepConfig(lid_estimator="tle")
+    with pytest.raises(ValueError, match="mle needs every LID grid size >= 2, got 1"):
+        SweepConfig(lid_k_grid=[5, 1])
+    SweepConfig(lid_estimator="twonn", lid_k_grid=[1])
 
 
 def test_sweep_config_grids():
@@ -487,6 +490,90 @@ def test_evaluate_dataset_reuses_graph(small_ds):
     ]
     with pytest.raises(ValueError, match="kmax"):
         evaluate_dataset(small_ds, SweepConfig(k_range=[20], lid_k_grid=[5]), graph=g)
+
+
+@pytest.mark.parametrize("estimator", ["mle", "twonn"])
+@pytest.mark.parametrize(
+    "k_range, lid_k_grid",
+    [(range(5, 41, 5), [5, 10, 20]), ([5, 10], None)],  # k range above, then below, the grid's top
+)
+def test_streamed_sweep_equals_the_graph_sweep(estimator, k_range, lid_k_grid, small_ds):
+    assert small_ds.n % 64 != 0  # a short last leaf
+    config = SweepConfig(k_range=k_range, lid_estimator=estimator, lid_k_grid=lid_k_grid)
+    kmax = config.grids(small_ds.n)[2]
+    streamed = evaluate_dataset(small_ds, config)
+    given = evaluate_dataset(small_ds, config, build_neighbor_graph(small_ds, kmax))
+    assert repr(streamed) == repr(given)  # field for field, NaN included
+
+
+@pytest.mark.parametrize("estimator", ["mle", "twonn"])
+def test_streamed_lid_rows_equal_estimate_profile(estimator):
+    from daodet import evaluation as ev
+    from daodet.lid import K_GRID, estimate_profile
+
+    ds = generate(SynthSpec(cluster_size=420, dim_c2=3, seed=11))[0]
+    kmax, keep = K_GRID[-1], 100
+    graph, profiles = ev._streamed_inputs(ds, kmax, keep, estimator, list(K_GRID))
+    full = build_neighbor_graph(ds, kmax)
+    assert graph.kmax == keep
+    assert graph.indices.tobytes() == full.indices[:, :keep].tobytes()
+    assert graph.distances.tobytes() == full.distances[:, :keep].tobytes()
+    # twonn ignores k: one profile, under the grid's first k.
+    assert sorted(profiles) == (list(K_GRID) if estimator == "mle" else [K_GRID[0]])
+    for lk in K_GRID:
+        want = estimate_profile(estimator, full, lk)
+        got = profiles[lk if estimator == "mle" else K_GRID[0]]
+        assert got.k_used == want.k_used
+        assert got.ids.tobytes() == want.ids.tobytes()
+        assert got.log_ids.tobytes() == want.log_ids.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("leaf_rows", [64, 4])
+def test_stream_raises_like_the_build(leaf_rows, monkeypatch):
+    from daodet import neighbors
+
+    monkeypatch.setattr(neighbors, "_LEAF_ROWS", leaf_rows)
+    config = SweepConfig(k_range=[5], lid_k_grid=[5])
+    non_finite = (
+        "non-finite distances in graph: a pairwise distance exceeds the float range"
+        " or the input is not finite"
+    )
+    duplicate = "zero distance in graph: input contains duplicate points"
+    for dup, far, message in ((True, False, duplicate), (False, True, non_finite),
+                              (True, True, non_finite)):  # the non-finite check comes first
+        pts = np.random.default_rng(3).standard_normal((40, 2))
+        if dup:
+            pts[[2, 30]] = pts[21]
+        if far:
+            pts[9] = 1.5e308
+        # Dataset rejects duplicate rows itself, so this one skips its checks.
+        ds = object.__new__(Dataset)
+        fields = dict(points=pts, labels=(np.arange(40) % 8 == 0).astype(np.int64), name="bad")
+        for name, value in fields.items():
+            object.__setattr__(ds, name, value)
+        with pytest.raises(ValueError) as streamed:
+            evaluate_dataset(ds, config)
+        with pytest.raises(ValueError) as built:
+            build_neighbor_graph(ds, config.grids(ds.n)[2])
+        assert str(streamed.value) == str(built.value) == message
+
+
+def test_streamed_sweep_never_holds_the_graph():
+    # The lowdim benchmark's shape: kmax 780 for the LID grid, k <= 100 for
+    # the sweeps. Without a graph, evaluate_dataset keeps the first 100
+    # columns and one leaf's rows, so it peaks below one (n, kmax) graph.
+    ds = generate(SynthSpec(ambient_dim=2, cluster_size=3200, dim_c1=2, dim_c2=1, seed=42))[0]
+    config = SweepConfig(k_range=range(5, 101, 5))
+    kmax = config.grids(ds.n)[2]
+    assert kmax == 780
+    tracemalloc.start()
+    try:
+        evaluate_dataset(ds, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.n * kmax * (4 + 8)
 
 
 def test_sweep_peak_is_three_blocks_above_the_graph():

@@ -326,9 +326,24 @@ def test_each_pair_computed_once_with_an_unlimited_store(monkeypatch):
     np.testing.assert_array_equal(counts, chunk[:, None] <= chunk[None, :])
 
 
+def test_leaf_selections_are_the_graph_rows_in_one_buffer():
+    pts = np.random.default_rng(8).standard_normal((300, 3))  # a short last leaf
+    g = build_neighbor_graph(pts, 40)
+    seen = np.zeros(300, dtype=int)
+    buffers = set()
+    for ids, idx, dist in neighbors.leaf_selections(pts, 40):
+        seen[ids] += 1
+        assert idx.shape == dist.shape == (ids.size, 40)
+        assert idx.tobytes() == g.indices[ids].tobytes()
+        assert dist.tobytes() == g.distances[ids].tobytes()
+        buffers.add((idx.__array_interface__["data"][0], dist.__array_interface__["data"][0]))
+    assert (seen == 1).all()
+    assert len(buffers) == 1  # every leaf overwrites the same two arrays
+
+
 # Pairs computed by the build at the default leaf size and store cap.
 DESK_PAIRS = 775000  # 30.3% of n^2
-LOWDIM_PAIRS = 268535  # 4.7% of n^2
+LOWDIM_PAIRS = 268609  # 4.7% of n^2
 
 
 def test_pinned_pair_counts(monkeypatch):
